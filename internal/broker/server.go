@@ -680,30 +680,37 @@ func (s *Server) StoreStats() store.Stats {
 	return s.store.Stats()
 }
 
-// registerObs contributes the broker's metric and status sources to
-// reg. Node, queue, store and hop-latency families read atomics and
-// never block. Peer-link stats live in core-owned state, so that
-// source snapshots through the core with a deadline and serves the
+// coreSnap wraps a read of core-owned state for the observability
+// sources: it snapshots through the core with a deadline and serves the
 // last good snapshot when the core is stalled — a Block-policy wedge
 // must not take /metrics down with it.
-func (s *Server) registerObs(reg *obs.Registry) {
-	var peerMu sync.Mutex
-	var peerLast []PeerLinkStats
-	peerSnap := func() []PeerLinkStats {
-		fresh := make(chan []PeerLinkStats, 1)
-		go func() { fresh <- s.PeerStats() }()
+func coreSnap[T any](read func() T) func() T {
+	var mu sync.Mutex
+	var last T
+	return func() T {
+		fresh := make(chan T, 1)
+		go func() { fresh <- read() }()
 		select {
-		case st := <-fresh:
-			peerMu.Lock()
-			peerLast = st
-			peerMu.Unlock()
-			return st
+		case v := <-fresh:
+			mu.Lock()
+			last = v
+			mu.Unlock()
+			return v
 		case <-time.After(200 * time.Millisecond):
-			peerMu.Lock()
-			defer peerMu.Unlock()
-			return peerLast
+			mu.Lock()
+			defer mu.Unlock()
+			return last
 		}
 	}
+}
+
+// registerObs contributes the broker's metric and status sources to
+// reg. Node, queue, store and hop-latency families read atomics and
+// never block. Peer-link stats and the engine shape live in core-owned
+// state, so those sources go through coreSnap.
+func (s *Server) registerObs(reg *obs.Registry) {
+	peerSnap := coreSnap(s.PeerStats)
+	shapeSnap := coreSnap(s.EngineShape)
 	reg.Register(func(w *obs.MetricWriter) {
 		obs.CollectNodeStats(w, s.Stats())
 		obs.CollectFlow(w, s.cfg.ID, s.FlowStats())
@@ -747,6 +754,18 @@ func (s *Server) registerObs(reg *obs.Registry) {
 				"Live subscriptions held by each matching-engine shard.",
 				float64(n), "node", s.cfg.ID, "shard", fmt.Sprint(i))
 		}
+		shape := shapeSnap()
+		for _, path := range []struct {
+			name string
+			n    int
+		}{
+			{"paired", shape.Paired}, {"general", shape.General}, {"class_only", shape.ClassOnly},
+			{"oversize", shape.Oversize}, {"unindexed", shape.Unindexed},
+		} {
+			w.Gauge("eventsys_engine_filters",
+				"Stored filters by the path an event takes to them (index.Shape; docs/TUNING.md).",
+				float64(path.n), "node", s.cfg.ID, "path", path.name)
+		}
 		ts := s.TopologyStats()
 		tl := []string{"node", s.cfg.ID}
 		w.Gauge("eventsys_topology_brokers",
@@ -770,18 +789,19 @@ func (s *Server) registerObs(reg *obs.Registry) {
 	})
 	reg.RegisterStatus("broker/"+s.cfg.ID, func() any {
 		return map[string]any{
-			"id":         s.cfg.ID,
-			"stage":      s.cfg.Stage,
-			"addr":       s.Addr(),
-			"stats":      s.Stats(),
-			"shardLoads": s.ShardLoads(),
-			"flow":       s.FlowStats(),
-			"peers":      peerSnap(),
-			"topology":   s.TopologyStats(),
-			"store":      s.StoreStats(),
-			"tracing":    s.tracer.Enabled(),
-			"dataDir":    s.cfg.DataDir,
-			"flowPolicy": s.cfg.FlowPolicy.String(),
+			"id":          s.cfg.ID,
+			"stage":       s.cfg.Stage,
+			"addr":        s.Addr(),
+			"stats":       s.Stats(),
+			"shardLoads":  s.ShardLoads(),
+			"engineShape": shapeSnap(),
+			"flow":        s.FlowStats(),
+			"peers":       peerSnap(),
+			"topology":    s.TopologyStats(),
+			"store":       s.StoreStats(),
+			"tracing":     s.tracer.Enabled(),
+			"dataDir":     s.cfg.DataDir,
+			"flowPolicy":  s.cfg.FlowPolicy.String(),
 		}
 	})
 }
@@ -799,6 +819,16 @@ func (s *Server) Stats() metrics.NodeStats {
 // goroutine: it bypasses the core and locks each shard briefly.
 func (s *Server) ShardLoads() []int {
 	return s.node.Table().ShardLoads()
+}
+
+// EngineShape reports how the stored filters map onto the matching
+// engine's structures — whether the population is served by the index
+// or defeats it (see index.Shape) — via a round-trip through the core
+// goroutine; the zero value while shutting down.
+func (s *Server) EngineShape() index.Shape {
+	var sh index.Shape
+	s.coreQuery(func() { sh = s.node.Table().EngineShape() })
+	return sh
 }
 
 // HasAdvertisement reports whether this broker has seen an advertisement

@@ -11,33 +11,104 @@ import "eventsys/internal/event"
 // The trivially-false filter (a contradictory strong filter) is covered by
 // everything; the trivially-true filter f_T (zero Filter) covers
 // everything.
+//
+// Callers testing one strong filter against many weak ones build the
+// strong side once with NewStrong.
 func Covers(weak, strong *Filter, conf Conformance) bool {
+	return NewStrong(strong, conf).CoveredBy(weak)
+}
+
+// Strong is the strong side of a covering check, prepared once: a scan
+// that asks "does any of these stored filters cover f?" derives f's
+// satisfiability and per-attribute domains a single time instead of once
+// per stored filter.
+type Strong struct {
+	class string
+	conf  Conformance
+	unsat bool
+	// attrs and doms are f's distinct attributes and their domains,
+	// aligned. All are built up front: the satisfiability verdict needs
+	// every one of them.
+	attrs []string
+	doms  []*domain
+}
+
+// NewStrong prepares f as the strong side of covering checks under conf
+// (nil means exact type names).
+func NewStrong(f *Filter, conf Conformance) *Strong {
 	if conf == nil {
 		conf = ExactTypes{}
 	}
+	s := &Strong{class: f.Class, conf: conf, attrs: f.Attrs()}
+	s.doms = make([]*domain, len(s.attrs))
+	for i, attr := range s.attrs {
+		s.doms[i] = buildDomain(f.ConstraintsOn(attr))
+		s.unsat = s.unsat || s.doms[i].contradictory
+	}
+	return s
+}
+
+// domain returns the strong filter's domain on attr, nil when it places
+// no constraint there. Filters hold a handful of attributes; a scan
+// beats a map.
+func (s *Strong) domain(attr string) *domain {
+	for i, a := range s.attrs {
+		if a == attr {
+			return s.doms[i]
+		}
+	}
+	return nil
+}
+
+// CoveredBy reports Covers(weak, f). The mismatches that decide most
+// comparisons of a scan — class, an attribute weak constrains and f does
+// not, equalities on different values — are settled before any domain of
+// weak is built.
+func (s *Strong) CoveredBy(weak *Filter) bool {
 	// Vacuous case: an unsatisfiable strong filter is covered by all.
-	if !strong.Satisfiable() {
+	if s.unsat {
 		return true
 	}
 	// Class: weak's class must subsume strong's.
 	if weak.Class != "" && weak.Class != RootType {
-		if strong.Class == "" || !conf.Conforms(strong.Class, weak.Class) {
+		if s.class == "" || !s.conf.Conforms(s.class, weak.Class) {
 			return false
 		}
 	}
-	// Each attribute constrained by weak must be constrained by strong
-	// (presence) and the strong domain must sit inside the weak domain.
-	for _, attr := range weak.Attrs() {
-		wd := buildDomain(weak.ConstraintsOn(attr))
-		sc := strong.ConstraintsOn(attr)
-		if len(sc) == 0 {
+	for _, c := range weak.Constraints {
+		sd := s.domain(c.Attr)
+		if sd == nil {
 			return false // strong does not even guarantee presence
 		}
-		if !wd.superset(buildDomain(sc)) {
+		// f is satisfiable, so its domain pinned to one value cannot sit
+		// inside a weak domain that demands another.
+		if c.Op == OpEq && sd.eq != nil && !sd.eq.Equal(c.Operand) {
+			return false
+		}
+	}
+	// Each attribute constrained by weak: the strong domain must sit
+	// inside the weak domain.
+	for _, attr := range weak.Attrs() {
+		if !buildDomain(weak.ConstraintsOn(attr)).superset(s.domain(attr)) {
 			return false
 		}
 	}
 	return true
+}
+
+// CoveredByAny reports whether any filter of weak covers f: the absorb
+// and pruning scans of subscription propagation, with f prepared once.
+func CoveredByAny(weak []*Filter, f *Filter, conf Conformance) bool {
+	if len(weak) == 0 {
+		return false
+	}
+	strong := NewStrong(f, conf)
+	for _, g := range weak {
+		if strong.CoveredBy(g) {
+			return true
+		}
+	}
+	return false
 }
 
 // CoversEvent implements Definition 3: event e covers event e' for filter

@@ -337,3 +337,54 @@ func TestCollapsePreservesUnionProperty(t *testing.T) {
 		}
 	}
 }
+
+// coversByDomains is Definition 2 straight from the per-attribute
+// domains, with none of Strong's early rejections: the reference the
+// prepared path must agree with.
+func coversByDomains(weak, strong *Filter) bool {
+	if !strong.Satisfiable() {
+		return true
+	}
+	if weak.Class != "" && weak.Class != RootType && !(ExactTypes{}).Conforms(strong.Class, weak.Class) {
+		return false
+	}
+	for _, attr := range weak.Attrs() {
+		sc := strong.ConstraintsOn(attr)
+		if len(sc) == 0 || !buildDomain(weak.ConstraintsOn(attr)).superset(buildDomain(sc)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStrongAgreesWithDomainsProperty: one prepared strong side, reused
+// across many weak filters, answers exactly as the unshortened check —
+// the early rejections (missing attribute, unequal equalities) never
+// change a verdict, contradictory and class-constrained filters included.
+func TestStrongAgreesWithDomainsProperty(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	classes := []string{"", "T", "U", RootType}
+	positives := 0
+	for i := 0; i < 400; i++ {
+		s := randomFilter(rng)
+		s.Class = classes[rng.IntN(len(classes))]
+		strong := NewStrong(s, nil)
+		for j := 0; j < 50; j++ {
+			w := randomFilter(rng)
+			if j%2 == 0 { // share constraints, so equalities meet often
+				w.Constraints = append(w.Constraints[:1], s.Constraints[:1+rng.IntN(len(s.Constraints))]...)
+			}
+			w.Class = classes[rng.IntN(len(classes))]
+			want := coversByDomains(w, s)
+			if got := strong.CoveredBy(w); got != want {
+				t.Fatalf("CoveredBy = %v, domains say %v:\n  weak   %s\n  strong %s", got, want, w, s)
+			}
+			if want {
+				positives++
+			}
+		}
+	}
+	if positives == 0 {
+		t.Fatal("property never exercised a positive claim")
+	}
+}

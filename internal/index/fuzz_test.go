@@ -9,8 +9,8 @@ import (
 	"eventsys/internal/filter"
 )
 
-// FuzzEngineEquivalence drives all four engine kinds with the same
-// byte-derived script of inserts, removes, whole-ID removes and match
+// FuzzEngineEquivalence drives all four engine kinds (and the indexed
+// engine behind the sharded wrapper) with the same byte-derived script of inserts, removes, whole-ID removes and match
 // probes; every probe must yield identical ID sets, and the naive result
 // must agree with direct filter evaluation. The script bytes decode to a
 // small op stream, so the fuzzer can reach delta merges, tombstone
@@ -19,13 +19,48 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x90, 0x17, 0x30, 0x88, 0x21, 0xfe, 0x05})
 	f.Add([]byte("insert-remove-match-churn-seed"))
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0x80, 0x7f, 0x33, 0xcc, 0x55, 0xaa, 0x12, 0x34})
+	// Standard-form shapes, one script each.
+	// w = 4 && x >= 2 && y ALL: matched with y, without y, after Remove.
+	f.Add([]byte{
+		0x00, 0x01, 0x80, 0x01, 0x00, 0x04, 0x03, 0x01, 0x02, 0x00, 0x02, 0x00,
+		0x06, 0x00, 0x03, 0x00, 0x04, 0x01, 0x06, 0x02, 0x08,
+		0x06, 0x00, 0x02, 0x00, 0x04, 0x01, 0x06,
+		0x04, 0x00,
+		0x06, 0x00, 0x03, 0x00, 0x04, 0x01, 0x06, 0x02, 0x08,
+	})
+	// x >= 2 && class ALL && exists(w) && y ALL (one threshold inside
+	// wildcards, presence on the class attribute), and w = 4 && v ALL &&
+	// x < 10 (a wildcard no event satisfies).
+	f.Add([]byte{
+		0x00, 0x01, 0x81, 0x03, 0x01, 0x02, 0x00, 0xf0, 0x02, 0x00, 0x00, 0x02, 0x01,
+		0x00, 0x01, 0x80, 0x01, 0x00, 0x04, 0x00, 0xe0, 0x07, 0x01, 0x0a, 0x02,
+		0x06, 0x00, 0x03, 0x00, 0x04, 0x01, 0x06, 0x02, 0x08,
+		0x06, 0x00, 0x02, 0x01, 0x06, 0x02, 0x08,
+	})
+	// w ALL && exists(x) && class ALL: presence only, stays counted.
+	f.Add([]byte{
+		0x00, 0x01, 0x80, 0x00, 0x00, 0x02, 0x01, 0x04, 0xf0, 0x03,
+		0x06, 0x00, 0x02, 0x00, 0x04, 0x01, 0x06,
+		0x06, 0x00, 0x01, 0x00, 0x04,
+		0x05, 0x03,
+		0x06, 0x00, 0x02, 0x00, 0x04, 0x01, 0x06,
+	})
+	// Six constraints, presence repeated on a selectively constrained
+	// attribute, against an event that carries w twice.
+	f.Add([]byte{
+		0x00, 0x01, 0x83, 0x01, 0x00, 0x04, 0x03, 0x01, 0x02, 0x00, 0x02,
+		0x02, 0x03, 0x04, 0x00, 0x05, 0x03, 0x01, 0x01, 0x00, 0x04,
+		0x06, 0x00, 0x83, 0x00, 0x04, 0x00, 0x06, 0x01, 0x06, 0x02, 0x08, 0x03, 0x01, 0x02, 0x00, 0x01,
+		0x06, 0x00, 0x83, 0x00, 0x06, 0x00, 0x04, 0x01, 0x06, 0x02, 0x08, 0x03, 0x01, 0x02, 0x00, 0x01,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fz := fuzzScript{data: data}
 		naive := NewNaiveTable(nil)
 		others := map[string]Engine{
-			"counting": NewCountingTable(nil),
-			"indexed":  NewIndexedTable(nil),
-			"sharded":  NewSharded(nil, 2),
+			"counting":        NewCountingTable(nil),
+			"indexed":         NewIndexedTable(nil),
+			"sharded":         NewSharded(nil, 2),
+			"sharded-indexed": New(Config{Kind: KindIndexed, Shards: 2}),
 		}
 		type assoc struct {
 			f  *filter.Filter
@@ -148,17 +183,44 @@ var fuzzOps = []filter.Op{
 	filter.OpExists, filter.OpAny,
 }
 
+// fuzzLongOps draws the operators of the long (3–6 constraint) filters:
+// about half presence, the rest mostly access predicates and thresholds,
+// so standard-form shapes — wildcards around a pair, around one
+// threshold, around scan residue — are common instead of a fluke.
+var fuzzLongOps = []filter.Op{
+	filter.OpAny, filter.OpEq, filter.OpExists, filter.OpGe, filter.OpAny,
+	filter.OpPrefix, filter.OpAny, filter.OpLt, filter.OpExists, filter.OpSuffix,
+	filter.OpAny, filter.OpGt, filter.OpLe, filter.OpNe, filter.OpContains,
+}
+
+// attr derives a constrained attribute: mostly w–z, which events may or
+// may not carry; high bytes select "v", which no event carries, and the
+// synthetic class attribute, which every event does.
+func (f *fuzzScript) attr() string {
+	switch b := f.byte(); {
+	case b >= 0xf0:
+		return event.TypeAttr
+	case b >= 0xe0:
+		return "v"
+	default:
+		return string(rune('w' + b%4))
+	}
+}
+
 func (f *fuzzScript) filter() *filter.Filter {
 	flt := &filter.Filter{}
 	if f.byte()%2 == 0 {
 		flt.Class = string(rune('A' + f.byte()%2))
 	}
-	for range 1 + f.byte()%3 {
-		op := fuzzOps[int(f.byte())%len(fuzzOps)]
-		c := filter.Constraint{
-			Attr: string(rune('w' + f.byte()%4)),
-			Op:   op,
-		}
+	// The count byte's high bit selects the long form.
+	b := f.byte()
+	n, ops := 1+int(b%3), fuzzOps
+	if b >= 0x80 {
+		n, ops = 3+int(b%4), fuzzLongOps
+	}
+	for range n {
+		op := ops[int(f.byte())%len(ops)]
+		c := filter.Constraint{Attr: f.attr(), Op: op}
 		if op.NeedsOperand() {
 			c.Operand = f.value()
 		}
@@ -167,9 +229,16 @@ func (f *fuzzScript) filter() *filter.Filter {
 	return flt
 }
 
+// event derives an event of 0–3 attributes (0–5 with the count byte's
+// high bit), duplicate names included.
 func (f *fuzzScript) event() *event.Event {
 	b := event.NewBuilder(string(rune('A' + f.byte()%3)))
-	for range f.byte() % 4 {
+	c := f.byte()
+	n := int(c % 4)
+	if c >= 0x80 {
+		n += 2
+	}
+	for range n {
 		b.Val(string(rune('w'+f.byte()%4)), f.value())
 	}
 	return b.Build()

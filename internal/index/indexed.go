@@ -1,7 +1,9 @@
 package index
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"eventsys/internal/event"
@@ -29,12 +31,31 @@ import (
 //     prefix constraints are found with one O(1) lookup per operand
 //     length present in the index (and symmetrically for suffixes),
 //     without materializing any substring.
-//   - OpExists/OpAny: per-attribute presence lists, bumped once for any
-//     present value.
+//   - OpExists/OpAny (the standard-form wildcard of Section 4.4): in a
+//     filter that also holds a selective constraint, presence is not
+//     counted at all — the attributes are set aside at Insert and
+//     verified with one Lookup each, only for slots that reach the hit
+//     list. A filter made only of presence constraints has nothing
+//     selective to gate on and keeps a per-attribute presence list,
+//     bumped once for any present value, so exists(sparse) still costs
+//     nothing for events without the attribute.
 //   - OpContains, OpNe, and exotic residue (ordering over strings or
 //     booleans, non-finite thresholds, mistyped pattern operands) stay
 //     in a per-attribute scan list, which the indexed structures keep
 //     small.
+//
+// Insert decides once, in classify, how a filter is indexed, and records
+// the plan in the slot; removal, the purge and Shape read it back. A
+// filter that is — as given, or once its presence constraints are set
+// aside — one access predicate (eq, prefix, suffix, presence) plus one
+// numeric threshold is paired: its single threshold entry sits behind
+// the access posting and is consulted only when the access predicate
+// hits. So the alarm shape metric = X && value >= T costs the same
+// whether the subscriber wrote it bare or a broker standardized it
+// against a four-attribute advertisement. Everything else is counted
+// constraint by constraint (general), except filters without
+// constraints (class-only, candidates for every event) and filters
+// beyond the packed counting range (oversize, evaluated directly).
 //
 // Subscription churn is absorbed by a mutable delta buffer over the
 // immutable sorted threshold cores: Insert appends to the delta (scanned
@@ -63,10 +84,11 @@ type IndexedTable struct {
 	// classOnly holds slots whose filters have zero attribute
 	// constraints; they are candidates for every event.
 	classOnly map[int]struct{}
-	// oversize holds slots whose filters exceed the uint16 counting
-	// range (need > 65535). Indexing such a filter would bump 64k+
-	// postings per matching event — the same order of work as direct
-	// evaluation — so these degenerate filters are evaluated directly.
+	// oversize holds slots whose filters exceed the packed counting
+	// range (more than maxIndexedNeed constraints). Indexing such a
+	// filter would bump hundreds of postings per matching event — the
+	// same order of work as direct evaluation — so these degenerate
+	// filters are evaluated directly.
 	oversize map[int]struct{}
 
 	// Match scratch. state packs each slot's round stamp, running count
@@ -97,7 +119,30 @@ type IndexedTable struct {
 	// compare in the pairs walk short-circuits on pointer equality
 	// instead of loading scattered string bytes.
 	interned map[string]string
+
+	// verifySets holds the distinct deferred-presence attribute sets,
+	// interned through verifyIdx so a slot refers to its set by a 4-byte
+	// index; entry 0 is the empty set. Sets are never dropped: a schema
+	// of k attributes yields at most 2^k of them.
+	verifySets [][]string
+	verifyIdx  map[string]int32
+
+	// plans counts live filters by plan and deferred those whose presence
+	// constraints are verified at hit time (see Shape).
+	plans    [numPlans]int
+	deferred int
 }
+
+// slotPlan is classify's decision for one filter.
+type slotPlan uint8
+
+const (
+	planGeneral   slotPlan = iota // counted constraint by constraint
+	planPaired                    // one threshold entry behind an access posting
+	planClassOnly                 // no constraints: candidate for every event
+	planOversize                  // beyond the packed counting range: evaluated directly
+	numPlans
+)
 
 // slotState is the per-slot Match scratch: one 4-byte word per slot.
 // A filter's satisfied-constraint credits can never exceed its need, so
@@ -114,14 +159,17 @@ type slotState struct {
 const maxIndexedNeed = 1<<8 - 1
 
 type indexedSlot struct {
-	f     *filter.Filter
-	key   string
-	need  int
-	alive bool
+	f   *filter.Filter
+	key string
+	ids map[string]struct{}
 	// ordRefs counts this slot's entries still present in threshold
 	// cores and deltas; a tombstoned slot is recycled only at zero.
-	ordRefs int
-	ids     map[string]struct{}
+	ordRefs int32
+	// verify indexes verifySets: the attributes whose presence Match
+	// checks once the slot's counted constraints are all satisfied.
+	verify int32
+	alive  bool
+	plan   slotPlan
 }
 
 // predIndex holds one attribute's per-operator structures. The eq
@@ -362,6 +410,9 @@ func NewIndexedTable(conf filter.Conformance) *IndexedTable {
 		classOnly: make(map[int]struct{}),
 		oversize:  make(map[int]struct{}),
 		interned:  make(map[string]string),
+
+		verifySets: [][]string{nil},
+		verifyIdx:  make(map[string]int32),
 	}
 }
 
@@ -500,79 +551,145 @@ func (t *IndexedTable) Insert(f *filter.Filter, id string) {
 		t.slots = append(t.slots, indexedSlot{})
 		t.state = append(t.state, slotState{})
 	}
-	s := &t.slots[slot]
-	*s = indexedSlot{
-		f:     f.Clone(),
-		key:   key,
-		need:  len(f.Constraints),
-		alive: true,
-		ids:   map[string]struct{}{id: {}},
+	plan, groups, deferred := classify(f)
+	t.slots[slot] = indexedSlot{
+		f:      f.Clone(),
+		key:    key,
+		ids:    map[string]struct{}{id: {}},
+		verify: t.verifySet(deferred),
+		alive:  true,
+		plan:   plan,
 	}
 	t.byKey[key] = slot
 	t.linkID(id, slot)
-	if s.need == 0 {
-		t.classOnly[slot] = struct{}{}
+	t.plans[plan]++
+	if len(deferred) > 0 {
+		t.deferred++
 	}
-	if s.need > maxIndexedNeed {
-		// Beyond the packed counting range: evaluate directly instead of
-		// bumping tens of thousands of postings per matching event.
-		t.oversize[slot] = struct{}{}
-		t.state[slot] = slotState{}
-		return
-	}
-	t.state[slot] = slotState{need: uint8(s.need)}
-	// Aggregate duplicate constraints within the filter first (so a
-	// posting carries its multiplicity in one entry), then route each
-	// group to its operator structure. This keeps Insert O(constraints)
-	// instead of rescanning hot postings for duplicates.
-	groups := aggregateConstraints(s.f.Constraints)
-	if acc, res, ok := classifyPair(groups); ok {
-		t.insertPair(slot, acc, res)
-		return
-	}
+	need := 0
 	for _, g := range groups {
-		p := t.attrIndexFor(g.c.Attr)
-		c := g.c
-		switch {
-		case indexable(c) && c.Op == filter.OpEq:
-			po := p.eqPostings(c.Operand, true)
-			po.scs = append(po.scs, slotCount{slot: int32(slot), n: int32(g.n)})
-		case c.Op == filter.OpExists || c.Op == filter.OpAny:
-			p.present.scs = append(p.present.scs, slotCount{slot: int32(slot), n: int32(g.n)})
-		case indexable(c) && ordSlot(c.Op) >= 0:
-			oi := &p.ord[ordSlot(c.Op)]
-			oi.noteBound(c.Operand.Num())
-			oi.delta = insertSorted(oi.delta, ordEntry{t: c.Operand.Num(), slot: int32(slot), n: int32(g.n)})
-			s.ordRefs++
-			t.ordLive++
-			if len(oi.delta) >= ordDeltaCap {
-				t.mergeOrd(oi)
+		need += g.n
+	}
+	// Class-only and oversize filters index nothing (groups is empty) and
+	// keep need 0, which no bump can cross.
+	t.state[slot] = slotState{need: uint8(need)}
+	switch plan {
+	case planClassOnly:
+		t.classOnly[slot] = struct{}{}
+	case planOversize:
+		t.oversize[slot] = struct{}{}
+	case planPaired:
+		t.insertPair(slot, groups[0], groups[1])
+	case planGeneral:
+		for _, g := range groups {
+			p := t.attrIndexFor(g.c.Attr)
+			switch c := g.c; {
+			case access(c):
+				po := p.accessPostings(c, true)
+				po.scs = append(po.scs, slotCount{slot: int32(slot), n: int32(g.n)})
+			case indexable(c): // a finite numeric threshold
+				t.addThreshold(&p.ord[ordSlot(c.Op)], slot, c.Operand.Num(), g.n)
+			default:
+				p.scan = append(p.scan, scanEntry{c: c, slot: slot, n: g.n})
 			}
-		case indexable(c) && c.Op == filter.OpPrefix:
-			po := strPostings(&p.prefix, c.Operand.Str(), true)
-			po.scs = append(po.scs, slotCount{slot: int32(slot), n: int32(g.n)})
-		case indexable(c) && c.Op == filter.OpSuffix:
-			po := strPostings(&p.suffix, c.Operand.Str(), true)
-			po.scs = append(po.scs, slotCount{slot: int32(slot), n: int32(g.n)})
-		default:
-			p.scan = append(p.scan, scanEntry{c: c, slot: slot, n: g.n})
 		}
 	}
 }
 
-// accessGroup reports whether g can serve as the access predicate of a
-// paired filter: a hash-, presence- or pattern-indexable constraint that
-// gates consulting the partner threshold.
-func accessGroup(g constraintGroup) bool {
-	switch g.c.Op {
-	case filter.OpEq:
-		return hashableEq(g.c)
-	case filter.OpPrefix, filter.OpSuffix:
-		return g.c.Operand.Kind() == event.KindString
-	case filter.OpExists, filter.OpAny:
-		return true
+// classify is the one indexing decision: the plan, the constraint groups
+// to index under it (duplicates aggregated so a posting carries its
+// multiplicity in one entry; for planPaired exactly the access group then
+// the threshold group) and the attributes whose presence is left to
+// hit-time verification.
+//
+// A filter that is a pair as given is indexed as such, presence access
+// included. Otherwise its presence constraints are set aside, provided a
+// selective constraint remains to gate the verification, and the
+// remainder is classified. Without one the presence constraints are all
+// the filter has and stay counted: deferring them would make the filter
+// a candidate for every event.
+func classify(f *filter.Filter) (plan slotPlan, groups []constraintGroup, deferred []string) {
+	switch n := len(f.Constraints); {
+	case n == 0:
+		return planClassOnly, nil, nil
+	case n > maxIndexedNeed:
+		return planOversize, nil, nil
 	}
-	return false
+	groups = aggregateConstraints(f.Constraints)
+	acc, res, ok := classifyPair(groups)
+	if !ok {
+		// rest reuses groups' array: it overwrites only entries already
+		// read, and when nothing survives nothing was written, so groups
+		// is intact for the presence-only return.
+		rest := groups[:0]
+		for _, g := range groups {
+			if g.c.IsWildcard() {
+				deferred = append(deferred, g.c.Attr)
+			} else {
+				rest = append(rest, g)
+			}
+		}
+		if len(rest) == 0 {
+			return planGeneral, groups, nil
+		}
+		groups = rest
+		acc, res, ok = classifyPair(groups)
+	}
+	if ok {
+		groups[0], groups[1] = acc, res
+		return planPaired, groups, deferred
+	}
+	return planGeneral, groups, deferred
+}
+
+// verifySet interns a deferred-presence attribute set, returning its
+// verifySets index (0 for the empty set).
+func (t *IndexedTable) verifySet(attrs []string) int32 {
+	if len(attrs) == 0 {
+		return 0
+	}
+	sort.Strings(attrs)
+	attrs = slices.Compact(attrs)
+	key := fmt.Sprintf("%q", attrs) // quoted: names cannot run together
+	i, ok := t.verifyIdx[key]
+	if !ok {
+		i = int32(len(t.verifySets))
+		t.verifySets = append(t.verifySets, attrs)
+		t.verifyIdx[key] = i
+	}
+	return i
+}
+
+// access reports whether c can serve as an access predicate: a hash-,
+// pattern- or presence-indexed constraint with postings of its own,
+// which can also gate consulting a paired partner threshold.
+func access(c filter.Constraint) bool { return indexable(c) && ordSlot(c.Op) < 0 }
+
+// accessPostings returns (creating if asked) the postings behind an
+// access predicate.
+func (p *predIndex) accessPostings(c filter.Constraint, create bool) *postings {
+	switch c.Op {
+	case filter.OpEq:
+		return p.eqPostings(c.Operand, create)
+	case filter.OpPrefix:
+		return strPostings(&p.prefix, c.Operand.Str(), create)
+	case filter.OpSuffix:
+		return strPostings(&p.suffix, c.Operand.Str(), create)
+	default: // OpExists, OpAny
+		return &p.present
+	}
+}
+
+// dropAccessPostings removes an emptied access predicate's entry.
+func (p *predIndex) dropAccessPostings(c filter.Constraint) {
+	switch c.Op {
+	case filter.OpEq:
+		p.dropEqPostings(c.Operand)
+	case filter.OpPrefix:
+		dropStrPostings(&p.prefix, c.Operand.Str())
+	case filter.OpSuffix:
+		dropStrPostings(&p.suffix, c.Operand.Str())
+	}
 }
 
 // classifyPair detects the paired two-constraint conjunction shape — one
@@ -588,29 +705,30 @@ func classifyPair(groups []constraintGroup) (acc, res constraintGroup, ok bool) 
 	}
 	for i := 0; i < 2; i++ {
 		a, r := groups[i], groups[1-i]
-		if accessGroup(a) && ordSlot(r.c.Op) >= 0 && indexable(r.c) {
+		if access(a.c) && ordSlot(r.c.Op) >= 0 && indexable(r.c) {
 			return a, r, true
 		}
 	}
 	return acc, res, false
 }
 
+// addThreshold enters one threshold entry for slot into a global or
+// paired ordering index.
+func (t *IndexedTable) addThreshold(oi *ordIndex, slot int, th float64, n int) {
+	oi.noteBound(th)
+	oi.delta = insertSorted(oi.delta, ordEntry{t: th, slot: int32(slot), n: int32(n)})
+	t.slots[slot].ordRefs++
+	t.ordLive++
+	if len(oi.delta) >= ordDeltaCap {
+		t.mergeOrd(oi)
+	}
+}
+
 // insertPair indexes a paired filter: one threshold entry under the
 // access predicate's pair group, crediting the filter's full need when
 // both halves hold.
 func (t *IndexedTable) insertPair(slot int, acc, res constraintGroup) {
-	p := t.attrIndexFor(acc.c.Attr)
-	var po *postings
-	switch acc.c.Op {
-	case filter.OpEq:
-		po = p.eqPostings(acc.c.Operand, true)
-	case filter.OpPrefix:
-		po = strPostings(&p.prefix, acc.c.Operand.Str(), true)
-	case filter.OpSuffix:
-		po = strPostings(&p.suffix, acc.c.Operand.Str(), true)
-	default: // OpExists, OpAny
-		po = &p.present
-	}
+	po := t.attrIndexFor(acc.c.Attr).accessPostings(acc.c, true)
 	bop := int8(ordSlot(res.c.Op))
 	gi := -1
 	for i := range po.pairs {
@@ -624,25 +742,8 @@ func (t *IndexedTable) insertPair(slot int, acc, res constraintGroup) {
 		gi = len(po.pairs) - 1
 	}
 	g := &po.pairs[gi]
-	s := &t.slots[slot]
-	th := res.c.Operand.Num()
-	if g.oi.core.size()+len(g.oi.delta) == 0 {
-		g.lo, g.hi = th, th
-	} else {
-		if th < g.lo {
-			g.lo = th
-		}
-		if th > g.hi {
-			g.hi = th
-		}
-	}
-	g.oi.noteBound(th)
-	g.oi.delta = insertSorted(g.oi.delta, ordEntry{t: th, slot: int32(slot), n: int32(acc.n + res.n)})
-	s.ordRefs++
-	t.ordLive++
-	if len(g.oi.delta) >= ordDeltaCap {
-		t.mergeOrd(g.oi)
-	}
+	t.addThreshold(g.oi, slot, res.c.Operand.Num(), acc.n+res.n)
+	g.lo, g.hi = g.oi.lo, g.oi.hi
 }
 
 type constraintGroup struct {
@@ -725,74 +826,51 @@ func (t *IndexedTable) RemoveID(id string) {
 	}
 }
 
-// dropSlot tombstones a slot: hash postings, presence and scan lists are
-// cleaned eagerly; threshold entries are left for the amortized purge,
-// and the slot is recycled once none remain.
+// dropSlot tombstones a slot, undoing what Insert did under the slot's
+// recorded plan: hash postings, presence and scan lists are cleaned
+// eagerly; threshold entries (global or paired) are accounted as garbage
+// for the amortized purge, and the slot is recycled once none remain.
 func (t *IndexedTable) dropSlot(slot int) {
 	s := &t.slots[slot]
 	s.alive = false
 	delete(t.byKey, s.key)
-	delete(t.classOnly, slot)
-	if _, ok := t.oversize[slot]; ok {
-		// Nothing was indexed for an oversize filter.
+	t.plans[s.plan]--
+	if s.verify != 0 {
+		t.deferred--
+	}
+	switch s.plan {
+	case planClassOnly:
+		delete(t.classOnly, slot)
+	case planOversize:
 		delete(t.oversize, slot)
-		t.recycle(slot)
-		return
-	}
-	groups := aggregateConstraints(s.f.Constraints)
-	if _, _, ok := classifyPair(groups); ok {
-		// The paired threshold entry is deferred garbage like any other
-		// threshold entry: accounted here, swept by the amortized purge.
-		t.ordLive--
-		t.ordDead++
-		groups = nil
-	}
-	for _, g := range groups {
-		p := t.attrs[g.c.Attr]
-		if p == nil {
-			continue
-		}
-		c := g.c
-		switch {
-		case indexable(c) && c.Op == filter.OpEq:
-			if po := p.eqPostings(c.Operand, false); po != nil {
-				po.scs = dropSlotCount(po.scs, slot)
-				if po.empty() {
-					p.dropEqPostings(c.Operand)
+	case planGeneral:
+		// Duplicate constraints share one entry; dropping it twice is a
+		// no-op, so the raw constraint list serves.
+		for _, c := range s.f.Constraints {
+			p := t.attrs[c.Attr]
+			switch {
+			case p == nil || (s.verify != 0 && c.IsWildcard()): // nothing indexed
+			case access(c):
+				if po := p.accessPostings(c, false); po != nil {
+					po.scs = dropSlotCount(po.scs, slot)
+					if po.empty() {
+						p.dropAccessPostings(c)
+					}
 				}
-			}
-		case c.Op == filter.OpExists || c.Op == filter.OpAny:
-			p.present.scs = dropSlotCount(p.present.scs, slot)
-		case indexable(c) && ordSlot(c.Op) >= 0:
-			// Deferred: accounted as garbage, purged in bulk.
-			t.ordLive--
-			t.ordDead++
-		case indexable(c) && c.Op == filter.OpPrefix:
-			op := c.Operand.Str()
-			if po := strPostings(&p.prefix, op, false); po != nil {
-				po.scs = dropSlotCount(po.scs, slot)
-				if po.empty() {
-					dropStrPostings(&p.prefix, op)
-				}
-			}
-		case indexable(c) && c.Op == filter.OpSuffix:
-			op := c.Operand.Str()
-			if po := strPostings(&p.suffix, op, false); po != nil {
-				po.scs = dropSlotCount(po.scs, slot)
-				if po.empty() {
-					dropStrPostings(&p.suffix, op)
-				}
-			}
-		default:
-			for i := 0; i < len(p.scan); i++ {
-				if p.scan[i].slot == slot {
-					p.scan[i] = p.scan[len(p.scan)-1]
-					p.scan = p.scan[:len(p.scan)-1]
-					i--
+			case indexable(c): // a threshold: deferred garbage, below
+			default:
+				for i := 0; i < len(p.scan); i++ {
+					if p.scan[i].slot == slot {
+						p.scan[i] = p.scan[len(p.scan)-1]
+						p.scan = p.scan[:len(p.scan)-1]
+						i--
+					}
 				}
 			}
 		}
 	}
+	t.ordLive -= int(s.ordRefs)
+	t.ordDead += int(s.ordRefs)
 	if s.ordRefs == 0 {
 		t.recycle(slot)
 	} else if t.ordDead >= 64 && t.ordDead*4 >= t.ordLive {
@@ -1204,7 +1282,18 @@ func (t *IndexedTable) Match(e event.View) ([]string, int) {
 	matched := 0
 	collect := func(slot int) {
 		s := &t.slots[slot]
-		if !s.alive || !classOK(s.f, e, t.conf) {
+		if !s.alive {
+			return
+		}
+		// Deferred presence: the counted constraints all held, so the
+		// set-aside attributes decide — resolved by Lookup, exactly as
+		// filter.Matches resolves them.
+		for _, attr := range t.verifySets[s.verify] {
+			if _, ok := e.Lookup(attr); !ok {
+				return
+			}
+		}
+		if !classOK(s.f, e, t.conf) {
 			return
 		}
 		matched++

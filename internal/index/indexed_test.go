@@ -345,3 +345,150 @@ func TestIndexedPairGroups(t *testing.T) {
 		t.Errorf("after churn value=99: naive %v, indexed %v", nids, iids)
 	}
 }
+
+// TestIndexedPresenceVerified pins hit-time presence verification: the
+// wildcards of a standard-form filter are set aside at Insert (so the
+// remainder is paired or a single threshold again), an event lacking a
+// wildcarded attribute is still rejected, presence-only filters keep the
+// counted path, and removal recycles such slots without stale credits —
+// on the bare table and behind the sharded wrapper.
+func TestIndexedPresenceVerified(t *testing.T) {
+	num := func(attr string, op filter.Op, v float64) filter.Constraint {
+		return filter.C(attr, op, event.Float(v))
+	}
+	exists := func(attr string) filter.Constraint { return filter.Constraint{Attr: attr, Op: filter.OpExists} }
+	// ev builds an Alert from (name, value) pairs, in order.
+	ev := func(kv ...any) *event.Event {
+		b := event.NewBuilder("Alert")
+		for i := 0; i < len(kv); i += 2 {
+			b.Float(kv[i].(string), float64(kv[i+1].(int)))
+		}
+		return b.Build()
+	}
+	cases := []struct {
+		name      string
+		cs        []filter.Constraint
+		shape     Shape
+		hit, miss []*event.Event
+	}{
+		{
+			name:  "pair inside wildcards",
+			cs:    []filter.Constraint{num("metric", filter.OpEq, 1), num("value", filter.OpGe, 90), filter.Wild("topic"), exists("note")},
+			shape: Shape{Paired: 1, Deferred: 1},
+			hit:   []*event.Event{ev("metric", 1, "value", 95, "topic", 0, "note", 0)},
+			miss: []*event.Event{
+				ev("metric", 1, "value", 95, "topic", 0), // lacks note
+				ev("metric", 1, "value", 95, "note", 0),  // lacks topic
+				ev("metric", 2, "value", 95, "topic", 0, "note", 0),
+				ev("metric", 1, "value", 10, "topic", 0, "note", 0),
+			},
+		},
+		{
+			name:  "one threshold inside wildcards",
+			cs:    []filter.Constraint{filter.Wild("metric"), num("value", filter.OpGe, 90), filter.Wild("topic")},
+			shape: Shape{General: 1, Deferred: 1},
+			hit:   []*event.Event{ev("metric", 1, "value", 95, "topic", 0)},
+			miss:  []*event.Event{ev("value", 95, "topic", 0), ev("metric", 1, "value", 10, "topic", 0)},
+		},
+		{
+			name:  "presence only stays counted",
+			cs:    []filter.Constraint{filter.Wild("metric"), exists("note")},
+			shape: Shape{General: 1, PresenceMax: 1},
+			hit:   []*event.Event{ev("note", 0, "metric", 1)},
+			miss:  []*event.Event{ev("metric", 1), ev()},
+		},
+		{
+			name:  "pair as given keeps its presence access",
+			cs:    []filter.Constraint{exists("note"), num("value", filter.OpGe, 90)},
+			shape: Shape{Paired: 1},
+			hit:   []*event.Event{ev("note", 0, "value", 95)},
+			miss:  []*event.Event{ev("value", 95), ev("note", 0, "value", 10)},
+		},
+		{
+			name:  "presence on the class attribute",
+			cs:    []filter.Constraint{filter.Wild(event.TypeAttr), num("metric", filter.OpEq, 1)},
+			shape: Shape{General: 1, Deferred: 1},
+			hit:   []*event.Event{ev("metric", 1)},
+			miss:  []*event.Event{ev("metric", 2)},
+		},
+		{
+			name:  "duplicate event attributes: the first occurrence decides",
+			cs:    []filter.Constraint{num("metric", filter.OpEq, 1), num("value", filter.OpGe, 90), filter.Wild("topic")},
+			shape: Shape{Paired: 1, Deferred: 1},
+			hit:   []*event.Event{ev("metric", 1, "metric", 2, "value", 95, "value", 10, "topic", 0, "topic", 1)},
+			miss: []*event.Event{
+				ev("metric", 2, "metric", 1, "value", 95, "topic", 0),
+				ev("metric", 1, "value", 10, "value", 95, "topic", 0),
+			},
+		},
+		{
+			name:  "presence repeated on a selectively constrained attribute",
+			cs:    []filter.Constraint{num("metric", filter.OpEq, 1), filter.Wild("metric"), exists("metric"), filter.Wild("metric"), num("value", filter.OpLt, 5)},
+			shape: Shape{Paired: 1, Deferred: 1},
+			hit:   []*event.Event{ev("metric", 1, "value", 0)},
+			miss:  []*event.Event{ev("metric", 1, "value", 5), ev("value", 0)},
+		},
+		{
+			name:  "scan residue inside wildcards",
+			cs:    []filter.Constraint{num("metric", filter.OpNe, 1), filter.Wild("topic")},
+			shape: Shape{General: 1, Deferred: 1, ScanEntries: 1},
+			hit:   []*event.Event{ev("metric", 2, "topic", 0)},
+			miss:  []*event.Event{ev("metric", 2), ev("metric", 1, "topic", 0), ev("topic", 0)},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := filter.New("Alert", tc.cs...)
+			it := NewIndexedTable(nil)
+			engines := map[string]Engine{"indexed": it, "sharded": New(Config{Kind: KindIndexed, Shards: 2})}
+			check := func(eng Engine, name string, stored bool) {
+				t.Helper()
+				for i, e := range append(append([]*event.Event{}, tc.hit...), tc.miss...) {
+					want := i < len(tc.hit)
+					if f.Matches(e, nil) != want {
+						t.Fatalf("case is wrong: filter.Matches(%s) = %v", e, !want)
+					}
+					if ids, _ := eng.Match(e); (len(ids) == 1) != (want && stored) {
+						t.Errorf("%s (stored=%v): Match(%s) = %v, filter.Matches = %v", name, stored, e, ids, want)
+					}
+				}
+			}
+			for name, eng := range engines {
+				eng.Insert(f, "s")
+				if got := ShapeOf(eng); got != tc.shape {
+					t.Errorf("%s: Shape = %+v, want %+v", name, got, tc.shape)
+				}
+				check(eng, name, true)
+			}
+			// Removal by filter on one engine, by ID on the other.
+			it.Remove(f, "s")
+			engines["sharded"].RemoveID("s")
+			for name, eng := range engines {
+				if got := ShapeOf(eng); eng.Len() != 0 || got != (Shape{}) {
+					t.Errorf("%s after removal: Len = %d, Shape = %+v", name, eng.Len(), got)
+				}
+				check(eng, name, false)
+			}
+			// The tombstone waits for its threshold entry to be purged;
+			// then the slot is recycled and the accounts are square.
+			if refs := it.slots[0].ordRefs; (refs == 0) != (len(it.free) == 1) {
+				t.Fatalf("ordRefs = %d but free = %v", refs, it.free)
+			}
+			it.purgeOrd()
+			if len(it.free) != 1 || it.ordLive != 0 || it.ordDead != 0 {
+				t.Fatalf("after purge: free = %v, ordLive = %d, ordDead = %d", it.free, it.ordLive, it.ordDead)
+			}
+			// A one-constraint filter reusing the slot would be a hit on
+			// any stale credit: none of the old filter's events may match.
+			it.Insert(filter.New("Alert", num("unrelated", filter.OpEq, 1)), "fresh")
+			if len(it.slots) != 1 {
+				t.Fatalf("slot not reused: %d slots", len(it.slots))
+			}
+			for _, e := range append(tc.hit, tc.miss...) {
+				if ids, _ := it.Match(e); len(ids) != 0 {
+					t.Errorf("stale credit on the reused slot: Match(%s) = %v", e, ids)
+				}
+			}
+		})
+	}
+}

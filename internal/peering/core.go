@@ -210,14 +210,12 @@ func (c *Core) weakenFor(f *filter.Filter, hops int) *filter.Filter {
 // when pruned.
 func (c *Core) offer(l *link, e Entry) *Update {
 	wf := c.weakenFor(e.Filter, e.Hops)
-	for _, g := range l.sent {
-		if filter.Covers(g, wf, c.conf) {
-			l.suppressed++
-			if c.counters != nil {
-				c.counters.AddPeerSuppressed(1)
-			}
-			return nil // link already carries a superset
+	if filter.CoveredByAny(l.sent, wf, c.conf) {
+		l.suppressed++
+		if c.counters != nil {
+			c.counters.AddPeerSuppressed(1)
 		}
+		return nil // link already carries a superset
 	}
 	l.sent = append(l.sent, wf)
 	l.propagated++
@@ -234,10 +232,8 @@ func (c *Core) offer(l *link, e Entry) *Update {
 // filter already covered by one of the subscriber's existing filters is
 // absorbed — it adds no matches and no propagation.
 func (c *Core) Subscribe(subID string, f *filter.Filter) []Update {
-	for _, g := range c.locals[subID] {
-		if filter.Covers(g, f, c.conf) {
-			return nil
-		}
+	if filter.CoveredByAny(c.locals[subID], f, c.conf) {
+		return nil
 	}
 	c.locals[subID] = append(c.locals[subID], f.Clone())
 	var out []Update

@@ -48,6 +48,12 @@ func (t *Table) ShardLoads() []int {
 	return nil
 }
 
+// EngineShape reports how the stored population maps onto the matching
+// engine's structures (see index.Shape). Unlike ShardLoads it reads
+// engine state and, for an unsharded engine, must run where the table's
+// other calls do.
+func (t *Table) EngineShape() index.Shape { return index.ShapeOf(t.engine) }
+
 // Insert associates id with f under a lease expiring at expiry. Inserting
 // an existing association refreshes its lease.
 func (t *Table) Insert(f *filter.Filter, id NodeID, expiry time.Time) {
@@ -196,8 +202,9 @@ func (t *Table) IDsFor(f *filter.Filter) []NodeID {
 func (t *Table) FindCovering(f *filter.Filter, conf filter.Conformance, validTarget func(NodeID) bool) (NodeID, bool) {
 	var bestFilter *filter.Filter
 	var bestID NodeID
+	strong := filter.NewStrong(f, conf)
 	for key, stored := range t.filters {
-		if !filter.Covers(stored, f, conf) {
+		if !strong.CoveredBy(stored) {
 			continue
 		}
 		var candidate NodeID

@@ -121,12 +121,19 @@ func TestObservabilityFederationScrape(t *testing.T) {
 		"eventsys_peer_link_up",
 		"eventsys_peer_link_forwarded_events_total",
 		"eventsys_hop_latency_seconds_bucket",
+		"eventsys_engine_filters",
 	} {
 		for who, exp := range map[string]string{"geneva": firstA, "zurich": firstB} {
 			if !strings.Contains(exp, want) {
 				t.Errorf("broker %s: family %s missing from scrape", who, want)
 			}
 		}
+	}
+
+	// zurich stores bob's filter; on the default (naive) engine it is
+	// reported off every indexed path.
+	if n := scrapeSeries(t, firstB, "eventsys_engine_filters", `path="unindexed"`); n < 1 {
+		t.Errorf("zurich reports %v unindexed filters, want bob's", n)
 	}
 
 	publish(100)

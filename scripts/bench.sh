@@ -93,7 +93,9 @@ echo "indexed-match scaling curve (benchtime=$BENCHTIME) -> $im" >&2
     echo "# Match cost per event (ns/op, plus p50-ns/p99-ns sampled per event)"
     echo "# counting = per-attribute counting index; indexed = predicate-indexed"
     echo "# engine (sorted threshold cores, per-length prefix/suffix postings,"
-    echo "# paired access-threshold groups)."
+    echo "# paired access-threshold groups); indexed-std = the same population"
+    echo "# in the Section 4.4 standard form (wildcards verified at hit time),"
+    echo "# matched against events carrying all four advertised attributes."
     go test -run '^$' -bench 'BenchmarkIndexedMatch' -benchmem -benchtime "$BENCHTIME" ./internal/index/
 } > "$im"
 

@@ -25,7 +25,7 @@ set -eu
 OLD="$1"
 NEW="$2"
 MAX="${3:-20}"
-GATED="${GATED:-BenchmarkForwardPath/raw BenchmarkOverlayBatchThroughput BenchmarkIndexedMatch/indexed-subs=100000 BenchmarkPartitionedFanIn}"
+GATED="${GATED:-BenchmarkForwardPath/raw BenchmarkOverlayBatchThroughput BenchmarkIndexedMatch/indexed-subs=100000 BenchmarkIndexedMatch/indexed-std-subs=100000 BenchmarkPartitionedFanIn}"
 
 if command -v benchstat >/dev/null 2>&1; then
     benchstat "$OLD" "$NEW" || true

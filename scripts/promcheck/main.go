@@ -8,6 +8,11 @@
 //	curl -s localhost:9090/metrics | go run ./scripts/promcheck
 //	go run ./scripts/promcheck http://localhost:9090/metrics
 //
+// A broker's exposition (recognized by its topology families) must also
+// carry eventsys_engine_filters, the family that shows whether the
+// stored subscriptions fit the matching engine's indexes; a scrape that
+// lost it is reported like a malformed one.
+//
 // Exit status 0 means the exposition is well-formed; 1 reports the
 // first violation on stderr.
 package main
@@ -56,5 +61,12 @@ func run(args []string) error {
 	if !bytes.Contains(body, []byte("# TYPE ")) {
 		return fmt.Errorf("no metric families in input (%d bytes) — scrape failed?", len(body))
 	}
-	return obs.ValidateExposition(bytes.NewReader(body))
+	if err := obs.ValidateExposition(bytes.NewReader(body)); err != nil {
+		return err
+	}
+	if bytes.Contains(body, []byte("# TYPE eventsys_topology_brokers ")) &&
+		!bytes.Contains(body, []byte("# TYPE eventsys_engine_filters ")) {
+		return fmt.Errorf("broker exposition lacks the eventsys_engine_filters family")
+	}
+	return nil
 }
