@@ -125,8 +125,9 @@ func (p *Publisher) routeFor(e event.View) (*pubConn, uint64) {
 func (p *Publisher) readLoop(pc *pubConn) {
 	defer p.wg.Done()
 	acked := false
+	fr := transport.NewFrameReader(pc.c)
 	for {
-		m, err := transport.ReadFrame(pc.c)
+		m, err := fr.ReadFrame()
 		if err != nil {
 			return
 		}
@@ -408,7 +409,10 @@ func DialSubscriber(rootAddr, id string, f *filter.Filter, opts SubscriberOption
 }
 
 // readReply reads frames until the subscribe reply arrives (events for
-// an earlier incarnation of this subscriber ID may interleave).
+// an earlier incarnation of this subscriber ID may interleave). It reads
+// with the one-shot ReadFrame, which takes nothing past the reply off the
+// socket: the connection's buffered reader is only created afterwards, by
+// the read loop, and a read-ahead here would be lost to it.
 func readReply(c net.Conn) (transport.SubscribeReply, error) {
 	deadline := time.Now().Add(10 * time.Second)
 	_ = c.SetReadDeadline(deadline)

@@ -1,16 +1,19 @@
 package broker
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"eventsys/internal/event"
 	"eventsys/internal/filter"
+	"eventsys/internal/testutil"
 	"eventsys/internal/transport"
 )
 
@@ -123,6 +126,27 @@ func ringOf3(t *testing.T, cfgA, cfgB, cfgC ServerConfig) (a, b, c *Server) {
 	return a, b, c
 }
 
+// waitForDump is waitFor for the failover waits that time out one run in
+// four (ROADMAP item 0): on timeout the failure message carries every
+// given broker's /debug/status view — topology with the pendingResync
+// and promoted sets, per-link state, per-connection socket counters — so
+// the stuck state is on the page instead of needing a reproduction.
+func waitForDump(t *testing.T, what string, cond func() bool, brokers ...*Server) {
+	t.Helper()
+	deadline := time.Now().Add(testutil.WaitTimeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			var dump strings.Builder
+			for _, s := range brokers {
+				view, _ := json.MarshalIndent(s.status(s.PeerStats(), s.EngineShape()), "", "  ")
+				fmt.Fprintf(&dump, "\n%s: %s", s.cfg.ID, view)
+			}
+			t.Fatalf("timed out waiting for %s%s", what, dump.String())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 func waitRingElected(t *testing.T, a, b, c *Server) {
 	t.Helper()
 	waitFor(t, "the ring election to converge", func() bool {
@@ -177,14 +201,14 @@ func TestBrokerDeathFailover(t *testing.T) {
 	// (B,C) edge must promote and complete the failover handshake.
 	addr := a.Addr()
 	a.Close()
-	waitFor(t, "C to fail over onto the standby edge", func() bool {
+	waitForDump(t, "C to fail over onto the standby edge", func() bool {
 		st := c.TopologyStats()
 		return st.Failovers >= 1 && st.PendingResync == 0 && fmt.Sprint(st.ActivePeers) == "[B]"
-	})
-	waitFor(t, "B to promote the standby edge", func() bool {
+	}, b, c)
+	waitForDump(t, "B to promote the standby edge", func() bool {
 		st := b.TopologyStats()
 		return st.PendingResync == 0 && fmt.Sprint(st.ActivePeers) == "[C]"
-	})
+	}, b, c)
 
 	for id := uint64(2); id <= 3; id++ {
 		if err := pub.Publish(event.NewBuilder("T").Int("x", 1).ID(id).Build()); err != nil {
@@ -251,10 +275,10 @@ func TestFailoverDrainsSpool(t *testing.T) {
 	}
 
 	a.Close()
-	waitFor(t, "C to complete the failover", func() bool {
+	waitForDump(t, "C to complete the failover", func() bool {
 		st := c.TopologyStats()
 		return st.Failovers >= 1 && st.PendingResync == 0 && fmt.Sprint(st.ActivePeers) == "[B]"
-	})
+	}, b, c)
 	if st := c.TopologyStats(); st.Reroutes != 2 {
 		t.Errorf("reroutes = %d, want 2 (the unmatched orphan re-spools)", st.Reroutes)
 	}

@@ -193,6 +193,9 @@ type Server struct {
 
 	mu    sync.Mutex
 	conns map[*peerConn]struct{}
+	// retiredIO keeps the socket counters of connections that are gone,
+	// so the broker's totals never step backwards (guarded by mu).
+	retiredIO ConnIO
 
 	// Control plane: the reconciler compares the intended peer set with
 	// the running dial workers and starts/cancels workers to close the
@@ -332,6 +335,9 @@ type peerConn struct {
 	// a PartitionRedirect for (core-owned): one redirect per epoch per
 	// publisher, however many stale publishes it sends meanwhile.
 	redirEpoch uint64
+
+	// io counts the connection's socket crossings (see connstats.go).
+	io connIO
 
 	done chan struct{} // closed with the connection (supervisor redial cue)
 	// writerDone is closed when the write loop exits; after that,
@@ -714,6 +720,7 @@ func (s *Server) registerObs(reg *obs.Registry) {
 	reg.Register(func(w *obs.MetricWriter) {
 		obs.CollectNodeStats(w, s.Stats())
 		obs.CollectFlow(w, s.cfg.ID, s.FlowStats())
+		s.collectConnIO(w)
 		if s.store != nil {
 			obs.CollectStore(w, s.cfg.ID, s.store.Stats())
 		}
@@ -787,23 +794,29 @@ func (s *Server) registerObs(reg *obs.Registry) {
 		w.Counter("eventsys_topology_dead_link_closes_total",
 			"Connections closed by the heartbeat monitor.", float64(ts.DeadLinkCloses), tl...)
 	})
-	reg.RegisterStatus("broker/"+s.cfg.ID, func() any {
-		return map[string]any{
-			"id":          s.cfg.ID,
-			"stage":       s.cfg.Stage,
-			"addr":        s.Addr(),
-			"stats":       s.Stats(),
-			"shardLoads":  s.ShardLoads(),
-			"engineShape": shapeSnap(),
-			"flow":        s.FlowStats(),
-			"peers":       peerSnap(),
-			"topology":    s.TopologyStats(),
-			"store":       s.StoreStats(),
-			"tracing":     s.tracer.Enabled(),
-			"dataDir":     s.cfg.DataDir,
-			"flowPolicy":  s.cfg.FlowPolicy.String(),
-		}
-	})
+	reg.RegisterStatus("broker/"+s.cfg.ID, func() any { return s.status(peerSnap(), shapeSnap()) })
+}
+
+// status is the broker's /debug/status view. The two core-owned parts
+// come from the caller: the endpoint passes deadline-guarded snapshots,
+// a test dumping a stuck control plane reads them directly.
+func (s *Server) status(peers []PeerLinkStats, shape index.Shape) map[string]any {
+	return map[string]any{
+		"id":          s.cfg.ID,
+		"stage":       s.cfg.Stage,
+		"addr":        s.Addr(),
+		"stats":       s.Stats(),
+		"shardLoads":  s.ShardLoads(),
+		"engineShape": shape,
+		"flow":        s.FlowStats(),
+		"conns":       s.ConnStats(),
+		"peers":       peers,
+		"topology":    s.TopologyStats(),
+		"store":       s.StoreStats(),
+		"tracing":     s.tracer.Enabled(),
+		"dataDir":     s.cfg.DataDir,
+		"flowPolicy":  s.cfg.FlowPolicy.String(),
+	}
 }
 
 // Addr returns the broker's bound listen address.
@@ -932,9 +945,10 @@ func (s *Server) acceptLoop() {
 // frames, which it applies to the writer's gate directly: a core
 // blocked on a saturated queue (Block policy) must still see grants, or
 // the very stall the grant would clear could never clear. The
-// FrameReader interns attribute and class names per connection, so the
-// steady-state decode of repeated event shapes allocates only the Raw
-// views.
+// FrameReader owns the connection's read side for life: it reads ahead,
+// so a burst of frames costs one read, and interns attribute and class
+// names, so the steady-state decode of repeated event shapes allocates
+// only the frame bodies and their Raw views.
 func (s *Server) readLoop(pc *peerConn) {
 	defer s.wg.Done()
 	fr := transport.NewFrameReader(pc.c)
@@ -944,6 +958,8 @@ func (s *Server) readLoop(pc *peerConn) {
 			s.post(coreEvent{pc: pc, gone: true})
 			return
 		}
+		pc.io.framesRead.Add(1)
+		pc.io.reads.Store(fr.Reads())
 		// Any inbound frame proves the link alive; the heartbeat loop
 		// closes connections whose stamp goes stale.
 		pc.lastRecv.Store(obs.Nanotime())
@@ -981,95 +997,117 @@ func (s *Server) readLoop(pc *peerConn) {
 	}
 }
 
-// writeLoop drains a connection's outbound queues: control frames
-// first, then event frames — each gated on credit granted by the
-// remote. While waiting for credit (or for work) control frames keep
-// flowing, so a throttled link still renews leases, exchanges
-// subscription state, and grants its own credits.
+// writeCoalesce is the size at which the write loop stops adding frames
+// to a buffer and sends it: a backlog of small frames then costs one
+// write per thousand or so, and the remote never waits on a long encode.
+const writeCoalesce = 64 << 10
+
+// writeLoop drains a connection's outbound queues into one buffer and
+// sends it with one write. It flushes as soon as nextOut has nothing more
+// to give — the queues ran dry or credit was refused — or the buffer
+// reaches writeCoalesce, and it sleeps only on an empty buffer, never on
+// a timer: a lone frame leaves as promptly as if it were written alone.
+// A failed write loses the frames of that write; whatever is parked or
+// queued stays in pc.out for dropPeer to salvage.
 func (s *Server) writeLoop(pc *peerConn) {
 	defer s.wg.Done()
 	defer close(pc.writerDone)
+	var (
+		batch  transport.FrameBatch
+		parked transport.Message   // popped from pc.out, refused by credit
+		traced []transport.Message // event frames in batch, while tracing
+	)
+	defer func() {
+		if parked != nil {
+			pc.out.Requeue(parked) // salvage still sees it
+		}
+	}()
 	for {
-		// Owed credit first — a grant is what unwedges the remote.
-		if g := pc.pendingGrant.Swap(0); g > 0 {
-			if !s.writeFrame(pc, transport.Credit{Grant: uint32(g)}) {
-				return
-			}
-			continue
+		var m transport.Message
+		if batch.Len() < writeCoalesce {
+			m = s.nextOut(pc, &parked)
 		}
-		select {
-		case m := <-pc.ctl:
-			if !s.writeFrame(pc, m) {
-				return
+		if m == nil && batch.Len() == 0 {
+			// Nothing to send. A parked frame waits for credit, not for
+			// the queue behind it; control and grants wake the loop
+			// either way.
+			ready, credit := pc.out.Ready(), (<-chan struct{})(nil)
+			if parked != nil {
+				ready, credit = nil, pc.gate.Avail()
 			}
-			continue
-		default:
-		}
-		m, ok := pc.out.TryPop()
-		if !ok {
 			select {
-			case m2 := <-pc.ctl:
-				if !s.writeFrame(pc, m2) {
-					return
-				}
+			case m = <-pc.ctl:
 			case <-pc.grantSig:
-			case <-pc.out.Ready():
-			case <-pc.done:
-				// Connection torn down: stop draining so undelivered
-				// frames stay in the queue for dropPeer to salvage.
-				return
-			case <-s.ctx.Done():
-				return
-			}
-			continue
-		}
-		waited := false
-		for n := eventCount(m); n > 0 && !pc.gate.TryAcquire(n); {
-			if !waited {
-				waited = true
-				s.counters.AddCreditWaits(1)
-			}
-			if g := pc.pendingGrant.Swap(0); g > 0 {
-				if !s.writeFrame(pc, transport.Credit{Grant: uint32(g)}) {
-					pc.out.Requeue(m)
-					return
-				}
 				continue
-			}
-			select {
-			case m2 := <-pc.ctl:
-				if !s.writeFrame(pc, m2) {
-					pc.out.Requeue(m)
-					return
-				}
-			case <-pc.grantSig:
-			case <-pc.gate.Avail():
+			case <-ready:
+				continue
+			case <-credit:
+				continue
 			case <-pc.done:
-				pc.out.Requeue(m) // salvage still sees it
 				return
 			case <-s.ctx.Done():
-				pc.out.Requeue(m)
 				return
 			}
 		}
-		if !s.writeFrame(pc, m) {
+		if m != nil {
+			if err := batch.Append(m); err != nil {
+				_ = batch.Flush(pc.c) // what was encoded before the unframeable message
+				pc.close()
+				return
+			}
+			if eventCount(m) > 0 && s.tracer.Enabled() {
+				traced = append(traced, m)
+			}
+			continue
+		}
+		pc.io.writes.Add(1)
+		pc.io.framesWritten.Add(uint64(batch.Frames()))
+		if err := batch.Flush(pc.c); err != nil {
+			pc.close()
 			return
 		}
-		if s.tracer.Enabled() {
+		for _, m := range traced {
 			for _, ev := range eventsOf(m) {
 				s.tracer.Observe(obs.HopDeliver, ev.Stamp())
 			}
 		}
+		clear(traced)
+		traced = traced[:0]
 	}
 }
 
-// writeFrame writes one frame, tearing the connection down on error.
-func (s *Server) writeFrame(pc *peerConn, m transport.Message) bool {
-	if err := transport.WriteFrame(pc.c, m); err != nil {
-		pc.close()
-		return false
+// nextOut returns the next frame the connection may send now, nil when
+// there is none: owed credit first (a grant is what unwedges the remote),
+// then control frames, then event frames for as long as the remote's
+// credit admits them. An event frame that credit refuses is parked —
+// counted as one credit wait — and offered again on every later call, so
+// control frames and grants keep flowing past it and a throttled link
+// still renews leases, exchanges subscription state and grants its own
+// credit, while no event overtakes another.
+func (s *Server) nextOut(pc *peerConn, parked *transport.Message) transport.Message {
+	if g := pc.pendingGrant.Swap(0); g > 0 {
+		return transport.Credit{Grant: uint32(g)}
 	}
-	return true
+	select {
+	case m := <-pc.ctl:
+		return m
+	default:
+	}
+	m, fresh := *parked, false
+	if m == nil {
+		if m, fresh = pc.out.TryPop(); !fresh {
+			return nil
+		}
+	}
+	if n := eventCount(m); n > 0 && !pc.gate.TryAcquire(n) {
+		if fresh {
+			s.counters.AddCreditWaits(1)
+		}
+		*parked = m
+		return nil
+	}
+	*parked = nil
+	return m
 }
 
 // post hands an event to the core. Inbound event frames go through the
@@ -1313,9 +1351,7 @@ func (s *Server) dropPeer(pc *peerConn) {
 	// in-flight write errors out); after that, frames still queued in
 	// pc.out were never written and can be salvaged.
 	<-pc.writerDone
-	s.mu.Lock()
-	delete(s.conns, pc)
-	s.mu.Unlock()
+	s.forgetConn(pc)
 	if pc == s.parent {
 		s.log.Warn("parent link lost")
 		return
@@ -1797,11 +1833,7 @@ func (s *Server) FlowStats() []flow.Snapshot {
 	}
 	queues := make([]namedQueue, 0, len(s.conns)+1)
 	for pc := range s.conns {
-		name := pc.id
-		if name == "" {
-			name = "?"
-		}
-		queues = append(queues, namedQueue{name, pc.out})
+		queues = append(queues, namedQueue{pc.name(), pc.out})
 	}
 	s.mu.Unlock()
 	if s.parent != nil {

@@ -276,6 +276,11 @@ type TopologyStats struct {
 	PendingResync int
 	Failovers     uint64
 	Reroutes      uint64
+	// Resyncing names the links PendingResync counts; Promoted the links
+	// the in-progress failover activated — the two sets a stuck failover
+	// is stuck on.
+	Resyncing []string
+	Promoted  []string
 	// Reconciles counts control-plane passes that changed the dial-worker
 	// set; DeadLinkCloses connections closed by the heartbeat monitor.
 	Reconciles     uint64
@@ -308,8 +313,16 @@ func (s *Server) TopologyStats() TopologyStats {
 				st.StandbyPeers = append(st.StandbyPeers, id)
 			}
 		}
+		for id := range s.pendingResync {
+			st.Resyncing = append(st.Resyncing, id)
+		}
+		for id := range s.promoted {
+			st.Promoted = append(st.Promoted, id)
+		}
 		sort.Strings(st.ActivePeers)
 		sort.Strings(st.StandbyPeers)
+		sort.Strings(st.Resyncing)
+		sort.Strings(st.Promoted)
 	})
 	return st
 }

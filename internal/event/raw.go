@@ -1,6 +1,7 @@
 package event
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
@@ -82,19 +83,17 @@ func (in *Interner) Intern(b []byte) string {
 // the decoded form is pre-seeded with e itself, so a local round trip
 // (encode at publish, deliver in-process) never decodes at all.
 func EncodeRaw(e *Event) *Raw {
-	b := AppendEncoded(nil, e)
-	r := &Raw{b: b, class: e.Type, id: e.ID, stamp: e.stamp}
+	b := AppendEncoded(make([]byte, 0, encodedLen(e)), e)
+	r := newRaw(uint64(len(e.Attrs)))
+	r.b, r.class, r.id, r.stamp = b, e.Type, e.ID, e.stamp
 	// Re-derive attribute offsets with a cheap skip-walk (names and value
 	// framing only; values are not decoded).
 	off := skipString(b, 0)
 	_, w := binary.Uvarint(b[off:])
 	off += w // id
-	n, w := binary.Uvarint(b[off:])
+	_, w = binary.Uvarint(b[off:])
 	off += w // attr count
-	if n > 0 {
-		r.attrs = make([]rawAttr, 0, n)
-	}
-	for i := uint64(0); i < n; i++ {
+	for i := range e.Attrs {
 		off = skipString(b, off)
 		r.attrs = append(r.attrs, rawAttr{name: e.Attrs[i].Name, off: int32(off)})
 		off = skipValue(b, off)
@@ -103,6 +102,40 @@ func EncodeRaw(e *Event) *Raw {
 	r.payOff, r.payLen = off+w, int(pn)
 	r.dec.Store(e)
 	return r
+}
+
+// newRaw returns a Raw with room for n attributes. Up to eight, the
+// attribute table shares the view's allocation — every event on the frame
+// path costs one object, not two — in the smallest of three sizes that
+// holds it; wider events (and untrusted counts, which are capped) get a
+// table of their own that grows as attributes prove real.
+func newRaw(n uint64) *Raw {
+	switch {
+	case n == 0:
+		return new(Raw)
+	case n <= 2:
+		v := new(struct {
+			Raw
+			tab [2]rawAttr
+		})
+		v.attrs = v.tab[:0]
+		return &v.Raw
+	case n <= 4:
+		v := new(struct {
+			Raw
+			tab [4]rawAttr
+		})
+		v.attrs = v.tab[:0]
+		return &v.Raw
+	case n <= 8:
+		v := new(struct {
+			Raw
+			tab [8]rawAttr
+		})
+		v.attrs = v.tab[:0]
+		return &v.Raw
+	}
+	return &Raw{attrs: make([]rawAttr, 0, min(n, attrCapHint))}
 }
 
 // skipString advances past one length-prefixed string (caller guarantees
@@ -167,17 +200,8 @@ func ParseRawAt(b []byte, off int, in *Interner) (*Raw, int, error) {
 	if n > uint64(len(b)-off) {
 		return nil, 0, fmt.Errorf("event: attribute count %d exceeds buffer", n)
 	}
-	r := &Raw{class: class, id: id}
-	if n > 0 {
-		// The count is attacker-controlled: cap the preallocation so one
-		// cheap frame cannot reserve hundreds of MiB; the slice grows as
-		// attributes prove real.
-		capHint := n
-		if capHint > attrCapHint {
-			capHint = attrCapHint
-		}
-		r.attrs = make([]rawAttr, 0, capHint)
-	}
+	r := newRaw(n) // n is attacker-controlled; newRaw caps what it reserves
+	r.class, r.id = class, id
 	for i := uint64(0); i < n; i++ {
 		var name string
 		name, off, err = readString(b, off, in)
@@ -186,7 +210,7 @@ func ParseRawAt(b []byte, off int, in *Interner) (*Raw, int, error) {
 		}
 		valOff := off
 		// Validate the value fully now, so cursor reads cannot fail later.
-		if _, w, err = DecodeValue(b[off:]); err != nil {
+		if w, err = valueLen(b[off:]); err != nil {
 			return nil, 0, err
 		}
 		off += w
@@ -312,18 +336,24 @@ func (r *Raw) valueAt(i int) Value {
 // decodes (counted by the DecodeCount test hook) and later calls — from
 // any goroutine — share the same immutable decoded event. Local
 // subscribers of one broker therefore all see a single decoded instance
-// instead of a clone each.
+// instead of a clone each. The class and attribute names are the view's
+// own (interned at parse), not fresh copies; values and payload are
+// copied out, so the event does not keep the frame alive. ParseRaw
+// validated every value, so this cannot fail.
 func (r *Raw) Event() *Event {
 	if e := r.dec.Load(); e != nil {
 		return e
 	}
-	e, _, err := decodeAt(r.b, 0, nil)
-	if err != nil {
-		// ParseRaw validated the bytes; a failure here means the backing
-		// buffer was mutated, which the Raw contract forbids.
-		panic(fmt.Sprintf("event: validated raw failed to decode: %v", err))
+	decodeCount.Add(1)
+	e := &Event{Type: r.class, ID: r.id, stamp: r.stamp}
+	if len(r.attrs) > 0 {
+		e.Attrs = make([]Attribute, len(r.attrs))
+		for i, a := range r.attrs {
+			v, _, _ := DecodeValue(r.b[a.off:])
+			e.Attrs[i] = Attribute{Name: a.name, Value: v}
+		}
 	}
-	e.stamp = r.stamp
+	e.Payload = bytes.Clone(r.Payload())
 	if !r.dec.CompareAndSwap(nil, e) {
 		return r.dec.Load()
 	}

@@ -149,6 +149,41 @@ func TestParseRawMalformed(t *testing.T) {
 	}
 }
 
+// TestRawAllocations pins the frame path's allocation budget: encoding
+// costs the bytes (sized once) plus one object holding the view and its
+// attribute table, parsing costs that one object — for every table size
+// newRaw shares, and one more beyond them.
+func TestRawAllocations(t *testing.T) {
+	for _, tc := range []struct{ attrs, encode, parse int }{
+		{0, 2, 1}, {2, 2, 1}, {3, 2, 1}, {8, 2, 1}, {9, 3, 2},
+	} {
+		b := NewBuilder("Stock").ID(7).Payload([]byte("payload"))
+		for i := 0; i < tc.attrs; i++ {
+			if name := "attr" + string(rune('a'+i)); i%2 == 0 {
+				b.Str(name, "value")
+			} else {
+				b.Int(name, int64(i))
+			}
+		}
+		e := b.Build()
+		r := EncodeRaw(e)
+		if r.NumAttrs() != tc.attrs || cap(r.Bytes()) != len(r.Bytes()) {
+			t.Fatalf("%d attrs: view has %d, bytes len %d cap %d", tc.attrs, r.NumAttrs(), len(r.Bytes()), cap(r.Bytes()))
+		}
+		if got := testing.AllocsPerRun(100, func() { EncodeRaw(e) }); int(got) != tc.encode {
+			t.Errorf("%d attrs: EncodeRaw allocates %v objects, want %d", tc.attrs, got, tc.encode)
+		}
+		in := NewInterner()
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := ParseRaw(r.Bytes(), in); err != nil {
+				t.Fatal(err)
+			}
+		}); int(got) != tc.parse {
+			t.Errorf("%d attrs: ParseRaw allocates %v objects, want %d", tc.attrs, got, tc.parse)
+		}
+	}
+}
+
 // FuzzRawEvent is the satellite fuzz target: malformed or truncated
 // bytes must return errors — never panic — and whatever parses must
 // round-trip canonically (materialize → re-encode → parse → equal), with
@@ -174,6 +209,11 @@ func FuzzRawEvent(f *testing.F) {
 		}
 		// Everything the view promises must now be safe to read.
 		dec := r.Event()
+		for _, a := range dec.Attrs {
+			if a.Value.Num() != a.Value.Num() {
+				return // NaN is a legal wire value but equals nothing, itself included
+			}
+		}
 		if dec.Type != r.Class() || dec.ID != r.EventID() || len(dec.Attrs) != r.NumAttrs() {
 			t.Fatalf("view disagrees with decode: %q/%d/%d vs %q/%d/%d",
 				r.Class(), r.EventID(), r.NumAttrs(), dec.Type, dec.ID, len(dec.Attrs))
@@ -195,6 +235,9 @@ func FuzzRawEvent(f *testing.F) {
 		// input may use non-minimal varints, so byte equality is only
 		// guaranteed from the second encode onward.)
 		enc := AppendEncoded(nil, dec)
+		if encodedLen(dec) != len(enc) {
+			t.Fatalf("encodedLen = %d, encoding is %d bytes", encodedLen(dec), len(enc))
+		}
 		r2, err := ParseRaw(enc, nil)
 		if err != nil {
 			t.Fatalf("re-encode failed to parse: %v", err)

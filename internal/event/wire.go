@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -93,6 +94,41 @@ func DecodeValue(b []byte) (Value, int, error) {
 	}
 }
 
+// valueLen validates one wire value at the front of b exactly as
+// DecodeValue does and returns its encoded length, without materializing
+// it: parsing a Raw view checks every value once and copies none.
+func valueLen(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, fmt.Errorf("event: truncated value kind")
+	}
+	switch k := Kind(b[0]); k {
+	case KindString:
+		n, w := binary.Uvarint(b[1:])
+		if w <= 0 || uint64(len(b)-1-w) < n {
+			return 0, fmt.Errorf("event: truncated string value")
+		}
+		return 1 + w + int(n), nil
+	case KindInt:
+		_, w := binary.Varint(b[1:])
+		if w <= 0 {
+			return 0, fmt.Errorf("event: bad int value")
+		}
+		return 1 + w, nil
+	case KindFloat:
+		if len(b) < 9 {
+			return 0, fmt.Errorf("event: truncated float value")
+		}
+		return 9, nil
+	case KindBool:
+		if len(b) < 2 {
+			return 0, fmt.Errorf("event: truncated bool value")
+		}
+		return 2, nil
+	default:
+		return 0, fmt.Errorf("event: unknown value kind %d", k)
+	}
+}
+
 // AppendEncoded appends the wire encoding of e to dst and returns the
 // extended slice. This is the single canonical event encoding: transport
 // frames and store record bodies are byte-identical.
@@ -108,6 +144,32 @@ func AppendEncoded(dst []byte, e *Event) []byte {
 	return append(dst, e.Payload...)
 }
 
+// encodedLen returns len(AppendEncoded(nil, e)) without encoding, so
+// that EncodeRaw allocates its bytes once, at their final size.
+func encodedLen(e *Event) int {
+	n := stringLen(e.Type) + uvarintLen(e.ID) + uvarintLen(uint64(len(e.Attrs)))
+	for i := range e.Attrs {
+		a := &e.Attrs[i]
+		n += stringLen(a.Name) + 1
+		switch a.Value.kind {
+		case KindString:
+			n += stringLen(a.Value.str)
+		case KindInt:
+			v := int64(a.Value.num)
+			n += uvarintLen(uint64(v<<1) ^ uint64(v>>63)) // zig-zag, as binary.AppendVarint
+		case KindFloat:
+			n += 8
+		case KindBool:
+			n++
+		}
+	}
+	return n + uvarintLen(uint64(len(e.Payload))) + len(e.Payload)
+}
+
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
@@ -116,69 +178,11 @@ func appendString(dst []byte, s string) []byte {
 // Decode materializes one event from b, which must contain exactly one
 // encoded event with no trailing bytes.
 func Decode(b []byte) (*Event, error) {
-	e, n, err := decodeAt(b, 0, nil)
+	r, err := ParseRaw(b, nil)
 	if err != nil {
 		return nil, err
 	}
-	if n != len(b) {
-		return nil, fmt.Errorf("event: %d trailing bytes after event", len(b)-n)
-	}
-	return e, nil
-}
-
-// decodeAt materializes one event starting at off, interning attribute
-// names through in (nil decodes without interning). It returns the event
-// and the offset just past it.
-func decodeAt(b []byte, off int, in *Interner) (*Event, int, error) {
-	decodeCount.Add(1)
-	class, off, err := readString(b, off, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	id, w := binary.Uvarint(b[off:])
-	if w <= 0 {
-		return nil, 0, fmt.Errorf("event: bad id varint at offset %d", off)
-	}
-	off += w
-	n, w := binary.Uvarint(b[off:])
-	if w <= 0 {
-		return nil, 0, fmt.Errorf("event: bad attr count at offset %d", off)
-	}
-	off += w
-	if n > uint64(len(b)-off) {
-		return nil, 0, fmt.Errorf("event: attribute count %d exceeds buffer", n)
-	}
-	e := &Event{Type: class, ID: id}
-	if n > 0 {
-		capHint := n
-		if capHint > attrCapHint {
-			capHint = attrCapHint
-		}
-		e.Attrs = make([]Attribute, 0, capHint)
-	}
-	for i := uint64(0); i < n; i++ {
-		var name string
-		name, off, err = readString(b, off, in)
-		if err != nil {
-			return nil, 0, err
-		}
-		v, w, err := DecodeValue(b[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += w
-		e.Attrs = append(e.Attrs, Attribute{Name: name, Value: v})
-	}
-	pn, w := binary.Uvarint(b[off:])
-	if w <= 0 || pn > uint64(len(b)-off-w) {
-		return nil, 0, fmt.Errorf("event: truncated payload at offset %d", off)
-	}
-	off += w
-	if pn > 0 {
-		e.Payload = make([]byte, pn)
-		copy(e.Payload, b[off:off+int(pn)])
-	}
-	return e, off + int(pn), nil
+	return r.Event(), nil
 }
 
 // readString reads one length-prefixed string at off. With a non-nil

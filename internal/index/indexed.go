@@ -1280,32 +1280,11 @@ func (t *IndexedTable) Match(e event.View) ([]string, int) {
 	}
 	var ids []string
 	matched := 0
-	collect := func(slot int) {
-		s := &t.slots[slot]
-		if !s.alive {
-			return
-		}
-		// Deferred presence: the counted constraints all held, so the
-		// set-aside attributes decide — resolved by Lookup, exactly as
-		// filter.Matches resolves them.
-		for _, attr := range t.verifySets[s.verify] {
-			if _, ok := e.Lookup(attr); !ok {
-				return
-			}
-		}
-		if !classOK(s.f, e, t.conf) {
-			return
-		}
-		matched++
-		for id := range s.ids {
-			ids = append(ids, id)
-		}
-	}
 	for _, slot := range t.hits {
-		collect(slot)
+		ids, matched = t.collect(e, slot, ids, matched)
 	}
 	for slot := range t.classOnly {
-		collect(slot)
+		ids, matched = t.collect(e, slot, ids, matched)
 	}
 	// Oversize filters (need beyond the packed counting range) are
 	// evaluated directly; there are none in realistic populations.
@@ -1319,6 +1298,32 @@ func (t *IndexedTable) Match(e event.View) ([]string, int) {
 		}
 	}
 	return dedupSorted(ids), matched
+}
+
+// collect appends the subscriber IDs of a slot whose counted constraints
+// all held, once what counting left open is settled, and bumps matched.
+// (A method, not a closure in Match: a closure over ids and matched costs
+// an allocation per event.)
+func (t *IndexedTable) collect(e event.View, slot int, ids []string, matched int) ([]string, int) {
+	s := &t.slots[slot]
+	if !s.alive {
+		return ids, matched
+	}
+	// Deferred presence: the counted constraints all held, so the
+	// set-aside attributes decide — resolved by Lookup, exactly as
+	// filter.Matches resolves them.
+	for _, attr := range t.verifySets[s.verify] {
+		if _, ok := e.Lookup(attr); !ok {
+			return ids, matched
+		}
+	}
+	if !classOK(s.f, e, t.conf) {
+		return ids, matched
+	}
+	for id := range s.ids {
+		ids = append(ids, id)
+	}
+	return ids, matched + 1
 }
 
 // Filters implements Engine.

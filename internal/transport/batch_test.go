@@ -61,7 +61,7 @@ func TestPublishBatchEmpty(t *testing.T) {
 // exceeds what the body could possibly hold.
 func TestPublishBatchCountGuard(t *testing.T) {
 	body := []byte{0xff, 0xff, 0xff, 0xff, 0x7f} // uvarint far above len(body)
-	if _, err := decodeMessage(TypePublishBatch, body, nil); err == nil {
+	if _, err := decodeMessage(TypePublishBatch, &reader{b: body}); err == nil {
 		t.Fatal("want error for oversized batch count")
 	}
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 
 	"eventsys/internal/event"
@@ -171,6 +172,141 @@ func FuzzCreditFrames(f *testing.F) {
 			}
 		default:
 			t.Fatalf("type changed through round trip: %T vs %T", m2, m)
+		}
+	})
+}
+
+// chunkReader serves a byte stream in reads of the sizes its pattern
+// dictates (cycled; a byte below 128 asks for that many bytes plus one, a
+// byte from 128 for up to 8 KiB in steps of 64, enough to fill and grow a
+// FrameReader's buffer), so a test can put the boundary between two reads
+// at any byte of a frame stream. With dataErr the last bytes arrive
+// together with io.EOF, as the io.Reader contract allows.
+type chunkReader struct {
+	data    []byte
+	pattern []byte
+	i       int
+	dataErr bool
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	k := 1
+	if len(c.pattern) > 0 {
+		if k += int(c.pattern[c.i%len(c.pattern)]); k > 128 {
+			k = (k - 128) * 64
+		}
+		c.i++
+	}
+	n := copy(p, c.data[:min(k, len(c.data))])
+	c.data = c.data[n:]
+	if c.dataErr && len(c.data) == 0 {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// readAll loops next until it fails, returning every message re-encoded
+// (the comparable form of a decoded message) and the error that ended
+// the stream.
+func readAll(t *testing.T, next func() (Message, error)) ([][]byte, error) {
+	var out [][]byte
+	for {
+		m, err := next()
+		if err != nil {
+			return out, err
+		}
+		b, err := AppendFrame(nil, m)
+		if err != nil {
+			t.Fatalf("re-encode of decoded %T failed: %v", m, err)
+		}
+		out = append(out, b)
+	}
+}
+
+// TestFrameReaderReadAhead: against a sender that always has more, the
+// buffer grows to its cap and a read takes a capful of frames; against one
+// that sends a frame at a time it stays at its floor and costs one read a
+// frame, where the one-shot reader pays two.
+func TestFrameReaderReadAhead(t *testing.T) {
+	const n = 5000
+	var stream []byte
+	for i := 0; i < n; i++ {
+		stream, _ = AppendFrame(stream, Credit{Grant: uint32(200 + i)}) // 7 bytes each
+	}
+	size := len(stream) / n
+
+	fr := NewFrameReader(&chunkReader{data: stream, pattern: []byte{255}}) // 8 KiB a read
+	for i := 0; i < n; i++ {
+		if m, err := fr.ReadFrame(); err != nil || m.(Credit).Grant != uint32(200+i) {
+			t.Fatalf("frame %d: %v, %v", i, m, err)
+		}
+	}
+	if _, err := fr.ReadFrame(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+	if most := uint64(len(stream)/readAheadMax + 8); fr.Reads() > most {
+		t.Errorf("%d reads for %d bytes, want at most %d: the buffer did not grow to %d", fr.Reads(), len(stream), most, readAheadMax)
+	}
+
+	fr = NewFrameReader(&chunkReader{data: stream, pattern: []byte{byte(size - 1)}}) // a frame a read
+	for i := 0; i < n; i++ {
+		if _, err := fr.ReadFrame(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fr.Reads() != n || len(fr.buf) != readAheadMin {
+		t.Errorf("%d reads for %d frames arriving one by one into a %d-byte buffer, want %d reads and the buffer still at %d",
+			fr.Reads(), n, len(fr.buf), n, readAheadMin)
+	}
+}
+
+// FuzzFrameReaderChunking pins the buffered FrameReader to the one-shot
+// ReadFrame: whatever the stream holds and wherever the reads cut it — one
+// byte at a time, many frames in a read, a frame across two reads, an
+// oversize header, a truncated tail — both yield the same messages and
+// end on the same error. io.EOF comes back bare only at a frame boundary.
+func FuzzFrameReaderChunking(f *testing.F) {
+	var stream []byte
+	for _, m := range append(peerSeedFrames(),
+		Hello{Kind: PeerSubscriber, ID: "s"}, Credit{Grant: 512}, PeerPing{},
+		Subscribe{SubscriberID: "s", Filter: mustFilter()},
+		Deliver{Seq: 3, Event: peerSeedFrames()[3].(Forward).Event},
+		Forward{Event: event.EncodeRaw(event.NewBuilder("Big").Payload(make([]byte, 3*readAheadMin)).Build())},
+	) {
+		stream, _ = AppendFrame(stream, m)
+	}
+	oversize := append(append([]byte(nil), stream[:40]...), 255, 255, 255, 255, byte(TypeForward))
+	for _, pattern := range [][]byte{nil, {0}, {127}, {255}, {2, 6, 0}, {36, 4}, {135, 0, 0}} {
+		f.Add(stream, pattern, false)
+		f.Add(stream, pattern, true)
+		f.Add(stream[:len(stream)-3], pattern, false) // truncated inside a body
+		f.Add(stream[:len(stream)-3], pattern, true)
+		f.Add(append(stream[:len(stream):len(stream)], 0, 0), pattern, false) // truncated inside a header
+		f.Add(oversize, pattern, false)
+	}
+
+	f.Fuzz(func(t *testing.T, data, pattern []byte, dataErr bool) {
+		one := bytes.NewReader(data)
+		want, wantErr := readAll(t, func() (Message, error) { return ReadFrame(one) })
+		fr := NewFrameReader(&chunkReader{data: data, pattern: pattern, dataErr: dataErr})
+		got, gotErr := readAll(t, fr.ReadFrame)
+
+		if len(got) != len(want) {
+			t.Fatalf("buffered reader returned %d frames, one-shot %d (errors %v / %v)", len(got), len(want), gotErr, wantErr)
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("frame %d differs:\n got %x\nwant %x", i, got[i], want[i])
+			}
+		}
+		if gotErr.Error() != wantErr.Error() || (gotErr == io.EOF) != (wantErr == io.EOF) {
+			t.Fatalf("stream ended with %q, one-shot with %q", gotErr, wantErr)
+		}
+		if wantErr == io.EOF && one.Len() != 0 {
+			t.Fatalf("bare io.EOF with %d bytes unread", one.Len())
 		}
 	})
 }

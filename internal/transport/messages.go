@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"eventsys/internal/event"
@@ -55,7 +56,8 @@ const (
 // Message is one wire protocol message.
 type Message interface {
 	Type() MsgType
-	encode(*buffer)
+	// encode appends the message body to b.
+	encode(b []byte) []byte
 }
 
 // Hello opens every connection: who the peer is, its identity, and — for
@@ -308,132 +310,117 @@ func (PeerPing) Type() MsgType          { return TypePeerPing }
 func (PartitionRedirect) Type() MsgType { return TypePartitionRedirect }
 func (GroupAck) Type() MsgType          { return TypeGroupAck }
 
-func (m Hello) encode(w *buffer) {
-	w.u8(uint8(m.Kind))
-	w.str(m.ID)
-	w.str(m.Addr)
+func (m Hello) encode(b []byte) []byte {
+	b = append(b, uint8(m.Kind))
+	b = appendStr(b, m.ID)
+	return appendStr(b, m.Addr)
 }
 
-func (m Publish) encode(w *buffer) {
-	w.uvarint(m.Epoch)
-	w.raw(m.Event)
+func (m Publish) encode(b []byte) []byte {
+	b = binary.AppendUvarint(b, m.Epoch)
+	return appendRaw(b, m.Event)
 }
 
-func (m Deliver) encode(w *buffer) {
-	w.uvarint(m.Seq)
-	w.raw(m.Event)
+func (m Deliver) encode(b []byte) []byte {
+	b = binary.AppendUvarint(b, m.Seq)
+	return appendRaw(b, m.Event)
 }
 
-func (m PublishBatch) encode(w *buffer) {
-	w.uvarint(m.Epoch)
-	w.uvarint(uint64(len(m.Events)))
-	for _, e := range m.Events {
-		w.raw(e)
-	}
+func (m PublishBatch) encode(b []byte) []byte {
+	b = binary.AppendUvarint(b, m.Epoch)
+	return appendRaws(b, m.Events)
 }
 
-func (m Subscribe) encode(w *buffer) {
-	w.str(m.SubscriberID)
-	w.filter(m.Filter)
-	w.str(m.Group)
+func (m Subscribe) encode(b []byte) []byte {
+	b = appendStr(b, m.SubscriberID)
+	b = appendFilter(b, m.Filter)
+	return appendStr(b, m.Group)
 }
 
-func (m SubscribeReply) encode(w *buffer) {
-	if m.Accepted {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	w.str(m.TargetAddr)
+func (m SubscribeReply) encode(b []byte) []byte {
+	b = appendBool(b, m.Accepted)
+	b = appendStr(b, m.TargetAddr)
+	b = appendBool(b, m.Stored != nil)
 	if m.Stored != nil {
-		w.u8(1)
-		w.filter(m.Stored)
-	} else {
-		w.u8(0)
+		b = appendFilter(b, m.Stored)
 	}
+	return b
 }
 
-func (m ReqInsert) encode(w *buffer) {
-	w.str(m.ChildID)
-	w.filter(m.Filter)
+func (m ReqInsert) encode(b []byte) []byte {
+	return appendFilter(appendStr(b, m.ChildID), m.Filter)
 }
 
-func (m Renew) encode(w *buffer) {
-	w.str(m.ID)
-	w.filter(m.Filter)
+func (m Renew) encode(b []byte) []byte {
+	return appendFilter(appendStr(b, m.ID), m.Filter)
 }
 
-func (m Unsubscribe) encode(w *buffer) {
-	w.str(m.ID)
-	w.filter(m.Filter)
+func (m Unsubscribe) encode(b []byte) []byte {
+	return appendFilter(appendStr(b, m.ID), m.Filter)
 }
 
-func (m PeerHello) encode(w *buffer) {
-	w.str(m.ID)
-	w.str(m.Addr)
+func (m PeerHello) encode(b []byte) []byte {
+	return appendStr(appendStr(b, m.ID), m.Addr)
 }
 
-func (e SubEntry) encode(w *buffer) {
-	w.uvarint(uint64(e.Hops))
-	w.filter(e.Filter)
+func (e SubEntry) encode(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(e.Hops))
+	return appendFilter(b, e.Filter)
 }
 
-func (m SubSet) encode(w *buffer) {
-	w.uvarint(uint64(len(m.Entries)))
+func (m SubSet) encode(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(m.Entries)))
 	for _, e := range m.Entries {
-		e.encode(w)
+		b = e.encode(b)
 	}
+	return b
 }
 
-func (m SubUpdate) encode(w *buffer) { m.Entry.encode(w) }
+func (m SubUpdate) encode(b []byte) []byte { return m.Entry.encode(b) }
 
-func (m Forward) encode(w *buffer) { w.raw(m.Event) }
+func (m Forward) encode(b []byte) []byte { return appendRaw(b, m.Event) }
 
-func (m ForwardBatch) encode(w *buffer) {
-	w.uvarint(uint64(len(m.Events)))
-	for _, e := range m.Events {
-		w.raw(e)
-	}
-}
+func (m ForwardBatch) encode(b []byte) []byte { return appendRaws(b, m.Events) }
 
-func (m Credit) encode(w *buffer)    { w.uvarint(uint64(m.Grant)) }
-func (m CreditAck) encode(w *buffer) { w.uvarint(uint64(m.Window)) }
+func (m Credit) encode(b []byte) []byte    { return binary.AppendUvarint(b, uint64(m.Grant)) }
+func (m CreditAck) encode(b []byte) []byte { return binary.AppendUvarint(b, uint64(m.Window)) }
 
-func (m LinkState) encode(w *buffer) {
-	w.str(m.Origin)
-	w.uvarint(m.Seq)
-	w.uvarint(uint64(len(m.Peers)))
+func (m LinkState) encode(b []byte) []byte {
+	b = appendStr(b, m.Origin)
+	b = binary.AppendUvarint(b, m.Seq)
+	b = binary.AppendUvarint(b, uint64(len(m.Peers)))
 	for _, p := range m.Peers {
-		w.str(p)
+		b = appendStr(b, p)
 	}
-	w.str(m.Addr)
-	w.str(m.Part)
+	b = appendStr(b, m.Addr)
+	return appendStr(b, m.Part)
 }
 
-func (PeerPing) encode(*buffer) {}
+func (PeerPing) encode(b []byte) []byte { return b }
 
-func (m PartitionRedirect) encode(w *buffer) {
-	w.uvarint(m.Epoch)
-	w.uvarint(uint64(m.Partitions))
-	w.uvarint(uint64(len(m.Replicas)))
+func (m PartitionRedirect) encode(b []byte) []byte {
+	b = binary.AppendUvarint(b, m.Epoch)
+	b = binary.AppendUvarint(b, uint64(m.Partitions))
+	b = binary.AppendUvarint(b, uint64(len(m.Replicas)))
 	for _, r := range m.Replicas {
-		w.str(r.ID)
-		w.str(r.Addr)
+		b = appendStr(appendStr(b, r.ID), r.Addr)
 	}
+	return b
 }
 
-func (m GroupAck) encode(w *buffer) { w.uvarint(m.Seq) }
+func (m GroupAck) encode(b []byte) []byte { return binary.AppendUvarint(b, m.Seq) }
 
-func (m Advertise) encode(w *buffer) {
-	w.str(m.Ad.Class)
-	w.uvarint(uint64(len(m.Ad.Attrs)))
+func (m Advertise) encode(b []byte) []byte {
+	b = appendStr(b, m.Ad.Class)
+	b = binary.AppendUvarint(b, uint64(len(m.Ad.Attrs)))
 	for _, a := range m.Ad.Attrs {
-		w.str(a)
+		b = appendStr(b, a)
 	}
-	w.uvarint(uint64(len(m.Ad.StageAttrs)))
+	b = binary.AppendUvarint(b, uint64(len(m.Ad.StageAttrs)))
 	for _, n := range m.Ad.StageAttrs {
-		w.uvarint(uint64(n))
+		b = binary.AppendUvarint(b, uint64(n))
 	}
+	return b
 }
 
 // u32capped decodes a uvarint bounded to uint32 (credit quantities); an
@@ -458,8 +445,10 @@ func (r *reader) subEntry() SubEntry {
 	return SubEntry{Hops: int(hops), Filter: r.filter()}
 }
 
-func decodeMessage(t MsgType, body []byte, in *event.Interner) (Message, error) {
-	r := &reader{b: body, in: in}
+// decodeMessage decodes one frame body, r.b, which the decoded message
+// owns from here on.
+func decodeMessage(t MsgType, r *reader) (Message, error) {
+	body := r.b
 	var m Message
 	switch t {
 	case TypeHello:

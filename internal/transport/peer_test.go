@@ -83,12 +83,11 @@ func TestForwardBatchRoundTrip(t *testing.T) {
 // TestSubSetCountGuard rejects a frame whose claimed entry count exceeds
 // what the frame could possibly hold.
 func TestSubSetCountGuard(t *testing.T) {
-	var body buffer
-	body.uvarint(1 << 40) // absurd count, no entries
-	frame := make([]byte, 5+len(body.b))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(body.b)))
+	body := binary.AppendUvarint(nil, 1<<40) // absurd count, no entries
+	frame := make([]byte, 5+len(body))
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
 	frame[4] = byte(TypeSubSet)
-	copy(frame[5:], body.b)
+	copy(frame[5:], body)
 	if _, err := ReadFrame(bytes.NewReader(frame)); err == nil {
 		t.Fatal("absurd subset count accepted")
 	}
@@ -96,15 +95,12 @@ func TestSubSetCountGuard(t *testing.T) {
 
 // TestSubEntryHopGuard rejects implausible hop distances.
 func TestSubEntryHopGuard(t *testing.T) {
-	var body buffer
-	body.uvarint(1 << 40) // hops
-	var w buffer
-	w.filter(filter.MustParseFilter(`x = 1`))
-	body.b = append(body.b, w.b...)
-	frame := make([]byte, 5+len(body.b))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(body.b)))
+	body := binary.AppendUvarint(nil, 1<<40) // hops
+	body = appendFilter(body, filter.MustParseFilter(`x = 1`))
+	frame := make([]byte, 5+len(body))
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
 	frame[4] = byte(TypeSubUpdate)
-	copy(frame[5:], body.b)
+	copy(frame[5:], body)
 	_, err := ReadFrame(bytes.NewReader(frame))
 	if err == nil || !strings.Contains(err.Error(), "hop count") {
 		t.Fatalf("err = %v, want hop count rejection", err)

@@ -277,20 +277,16 @@ func frame(typ byte, body []byte) []byte {
 }
 
 func helloBody() []byte {
-	var w buffer
-	Hello{Kind: PeerPublisher, ID: "x", Addr: ""}.encode(&w)
-	return w.b
+	return Hello{Kind: PeerPublisher, ID: "x", Addr: ""}.encode(nil)
 }
 
 func badKindEvent() []byte {
-	var w buffer
-	w.str("T")
-	w.uvarint(1)
-	w.uvarint(1) // one attribute
-	w.str("a")
-	w.u8(200) // invalid kind
-	w.bytes(nil)
-	return w.b
+	b := appendStr(nil, "T")
+	b = binary.AppendUvarint(b, 1)
+	b = binary.AppendUvarint(b, 1) // one attribute
+	b = appendStr(b, "a")
+	b = append(b, 200)                // invalid kind
+	return binary.AppendUvarint(b, 0) // empty payload
 }
 
 func TestOversizeFrameRejected(t *testing.T) {

@@ -113,7 +113,7 @@ func TestObservabilityFederationScrape(t *testing.T) {
 	firstA, firstB := scrape(a), scrape(b)
 
 	// Every stats surface shows up: node counters, flow queue gauges,
-	// peer-link families, hop histograms.
+	// peer-link families, hop histograms, engine shape, socket counters.
 	for _, want := range []string{
 		"eventsys_node_received_events_total",
 		"eventsys_node_lc",
@@ -122,6 +122,10 @@ func TestObservabilityFederationScrape(t *testing.T) {
 		"eventsys_peer_link_forwarded_events_total",
 		"eventsys_hop_latency_seconds_bucket",
 		"eventsys_engine_filters",
+		"eventsys_conn_reads_total",
+		"eventsys_conn_frames_read_total",
+		"eventsys_conn_writes_total",
+		"eventsys_conn_frames_written_total",
 	} {
 		for who, exp := range map[string]string{"geneva": firstA, "zurich": firstB} {
 			if !strings.Contains(exp, want) {
@@ -149,6 +153,20 @@ func TestObservabilityFederationScrape(t *testing.T) {
 	}
 	if hops := scrapeSeries(t, secondA, "eventsys_hop_latency_seconds_count", `hop="match"`); hops <= 0 {
 		t.Error("hop-latency histograms empty with tracing on")
+	}
+	// geneva read 200 Publish frames and forwarded their events to zurich
+	// (batched, so in fewer frames); a read or a write may carry many
+	// frames but never less than one.
+	for _, dir := range []struct {
+		calls, frames string
+		atLeast       float64
+	}{{"reads", "frames_read", 200}, {"writes", "frames_written", 1}} {
+		calls := scrapeSeries(t, secondA, "eventsys_conn_"+dir.calls+"_total", `node="geneva"`)
+		frames := scrapeSeries(t, secondA, "eventsys_conn_"+dir.frames+"_total", `node="geneva"`)
+		if frames < dir.atLeast || calls < 1 || calls > frames {
+			t.Errorf("geneva socket counters: %v %s in %v %s, want >= %v frames and 1 <= calls <= frames",
+				frames, dir.frames, calls, dir.calls, dir.atLeast)
+		}
 	}
 
 	// /healthz flips on shutdown. Broker.Close flips the registry

@@ -10,8 +10,10 @@
 //
 // A broker's exposition (recognized by its topology families) must also
 // carry eventsys_engine_filters, the family that shows whether the
-// stored subscriptions fit the matching engine's indexes; a scrape that
-// lost it is reported like a malformed one.
+// stored subscriptions fit the matching engine's indexes, and the four
+// eventsys_conn_* families, whose ratios (frames per read, frames per
+// write) show whether the socket boundary is batching; a scrape that lost
+// one is reported like a malformed one.
 //
 // Exit status 0 means the exposition is well-formed; 1 reports the
 // first violation on stderr.
@@ -64,9 +66,16 @@ func run(args []string) error {
 	if err := obs.ValidateExposition(bytes.NewReader(body)); err != nil {
 		return err
 	}
-	if bytes.Contains(body, []byte("# TYPE eventsys_topology_brokers ")) &&
-		!bytes.Contains(body, []byte("# TYPE eventsys_engine_filters ")) {
-		return fmt.Errorf("broker exposition lacks the eventsys_engine_filters family")
+	if bytes.Contains(body, []byte("# TYPE eventsys_topology_brokers ")) {
+		for _, family := range []string{
+			"eventsys_engine_filters",
+			"eventsys_conn_reads_total", "eventsys_conn_frames_read_total",
+			"eventsys_conn_writes_total", "eventsys_conn_frames_written_total",
+		} {
+			if !bytes.Contains(body, []byte("# TYPE "+family+" ")) {
+				return fmt.Errorf("broker exposition lacks the %s family", family)
+			}
+		}
 	}
 	return nil
 }
