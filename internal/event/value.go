@@ -144,17 +144,23 @@ func (v Value) Equal(o Value) bool {
 // String renders the value in the literal syntax accepted by the filter
 // parser: quoted strings, bare numbers, true/false.
 func (v Value) String() string {
+	var buf [64]byte
+	return string(v.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String rendering of v to b.
+func (v Value) AppendTo(b []byte) []byte {
 	switch v.kind {
 	case KindString:
-		return strconv.Quote(v.str)
+		return strconv.AppendQuote(b, v.str)
 	case KindInt:
-		return strconv.FormatInt(int64(v.num), 10)
+		return strconv.AppendInt(b, int64(v.num), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.num, 'g', -1, 64)
+		return strconv.AppendFloat(b, v.num, 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.num != 0)
+		return strconv.AppendBool(b, v.num != 0)
 	default:
-		return "<invalid>"
+		return append(b, "<invalid>"...)
 	}
 }
 

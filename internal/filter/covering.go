@@ -13,7 +13,7 @@ import "eventsys/internal/event"
 // everything.
 //
 // Callers testing one strong filter against many weak ones build the
-// strong side once with NewStrong.
+// strong side once with NewStrong, or keep the weak ones in a CoverSet.
 func Covers(weak, strong *Filter, conf Conformance) bool {
 	return NewStrong(strong, conf).CoveredBy(weak)
 }
@@ -26,24 +26,33 @@ type Strong struct {
 	class string
 	conf  Conformance
 	unsat bool
-	// attrs and doms are f's distinct attributes and their domains,
-	// aligned. All are built up front: the satisfiability verdict needs
-	// every one of them.
-	attrs []string
-	doms  []*domain
+	// doms holds f's domain on each attribute it constrains, in
+	// first-seen order. All are built up front: the satisfiability
+	// verdict needs every one of them.
+	doms []attrDomain
+}
+
+type attrDomain struct {
+	attr string
+	domain
 }
 
 // NewStrong prepares f as the strong side of covering checks under conf
-// (nil means exact type names).
+// (nil means exact type names). It walks f's constraints in place and
+// allocates only the Strong and its domain slice.
 func NewStrong(f *Filter, conf Conformance) *Strong {
 	if conf == nil {
 		conf = ExactTypes{}
 	}
-	s := &Strong{class: f.Class, conf: conf, attrs: f.Attrs()}
-	s.doms = make([]*domain, len(s.attrs))
-	for i, attr := range s.attrs {
-		s.doms[i] = buildDomain(f.ConstraintsOn(attr))
-		s.unsat = s.unsat || s.doms[i].contradictory
+	s := &Strong{class: f.Class, conf: conf, doms: make([]attrDomain, 0, len(f.Constraints))}
+	for i, c := range f.Constraints {
+		if !firstOnAttr(f.Constraints, i) {
+			continue
+		}
+		s.doms = append(s.doms, attrDomain{attr: c.Attr})
+		d := &s.doms[len(s.doms)-1].domain
+		d.build(f.Constraints, c.Attr)
+		s.unsat = s.unsat || d.contradictory
 	}
 	return s
 }
@@ -52,9 +61,9 @@ func NewStrong(f *Filter, conf Conformance) *Strong {
 // no constraint there. Filters hold a handful of attributes; a scan
 // beats a map.
 func (s *Strong) domain(attr string) *domain {
-	for i, a := range s.attrs {
-		if a == attr {
-			return s.doms[i]
+	for i := range s.doms {
+		if s.doms[i].attr == attr {
+			return &s.doms[i].domain
 		}
 	}
 	return nil
@@ -63,7 +72,7 @@ func (s *Strong) domain(attr string) *domain {
 // CoveredBy reports Covers(weak, f). The mismatches that decide most
 // comparisons of a scan — class, an attribute weak constrains and f does
 // not, equalities on different values — are settled before any domain of
-// weak is built.
+// weak is built, and none of them allocates.
 func (s *Strong) CoveredBy(weak *Filter) bool {
 	// Vacuous case: an unsatisfiable strong filter is covered by all.
 	if s.unsat {
@@ -82,33 +91,22 @@ func (s *Strong) CoveredBy(weak *Filter) bool {
 		}
 		// f is satisfiable, so its domain pinned to one value cannot sit
 		// inside a weak domain that demands another.
-		if c.Op == OpEq && sd.eq != nil && !sd.eq.Equal(c.Operand) {
+		if c.Op == OpEq && sd.hasEq() && !sd.eq.Equal(c.Operand) {
 			return false
 		}
 	}
 	// Each attribute constrained by weak: the strong domain must sit
 	// inside the weak domain.
-	for _, attr := range weak.Attrs() {
-		if !buildDomain(weak.ConstraintsOn(attr)).superset(s.domain(attr)) {
+	for i, c := range weak.Constraints {
+		if !firstOnAttr(weak.Constraints, i) {
+			continue
+		}
+		var wd domain
+		if wd.build(weak.Constraints, c.Attr); !wd.superset(s.domain(c.Attr)) {
 			return false
 		}
 	}
 	return true
-}
-
-// CoveredByAny reports whether any filter of weak covers f: the absorb
-// and pruning scans of subscription propagation, with f prepared once.
-func CoveredByAny(weak []*Filter, f *Filter, conf Conformance) bool {
-	if len(weak) == 0 {
-		return false
-	}
-	strong := NewStrong(f, conf)
-	for _, g := range weak {
-		if strong.CoveredBy(g) {
-			return true
-		}
-	}
-	return false
 }
 
 // CoversEvent implements Definition 3: event e covers event e' for filter
@@ -152,23 +150,4 @@ func Collapse(filters []*Filter, conf Conformance) []*Filter {
 		}
 	}
 	return out
-}
-
-// StrongestCovering returns the index of the most specific filter among
-// candidates that covers f, or -1 when none covers it. "Most specific"
-// means covered by every other covering candidate whenever that relation
-// is provable; ties resolve to the first. This is the search performed by
-// the subscription placement protocol (Fig. 5): find the strongest stored
-// filter covering the new subscription.
-func StrongestCovering(candidates []*Filter, f *Filter, conf Conformance) int {
-	best := -1
-	for i, c := range candidates {
-		if !Covers(c, f, conf) {
-			continue
-		}
-		if best == -1 || Covers(candidates[best], c, conf) {
-			best = i
-		}
-	}
-	return best
 }

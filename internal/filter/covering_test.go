@@ -186,24 +186,6 @@ func TestCollapse(t *testing.T) {
 	}
 }
 
-func TestStrongestCovering(t *testing.T) {
-	sub := MustParseFilter(`class = "Stock" && symbol = "Foo" && price < 9`)
-	candidates := []*Filter{
-		MustParseFilter(`class = "Stock"`),                                 // weakest cover
-		MustParseFilter(`class = "Stock" && symbol = "Foo" && price < 11`), // strongest cover
-		MustParseFilter(`class = "Stock" && symbol = "Foo"`),               // middle cover
-		MustParseFilter(`class = "Stock" && symbol = "Bar"`),               // no cover
-		MustParseFilter(`class = "Stock" && symbol = "Foo" && price < 8`),  // no cover (too strong)
-	}
-	got := StrongestCovering(candidates, sub, nil)
-	if got != 1 {
-		t.Fatalf("StrongestCovering = %d, want 1", got)
-	}
-	if got := StrongestCovering(candidates[3:], sub, nil); got != -1 {
-		t.Fatalf("StrongestCovering with no cover = %d, want -1", got)
-	}
-}
-
 // --- property-based validation of Covers against direct evaluation ---
 
 // randomValue draws from a deliberately small universe so random filters
@@ -349,8 +331,13 @@ func coversByDomains(weak, strong *Filter) bool {
 		return false
 	}
 	for _, attr := range weak.Attrs() {
-		sc := strong.ConstraintsOn(attr)
-		if len(sc) == 0 || !buildDomain(weak.ConstraintsOn(attr)).superset(buildDomain(sc)) {
+		if len(strong.ConstraintsOn(attr)) == 0 {
+			return false
+		}
+		var wd, sd domain
+		wd.build(weak.Constraints, attr)
+		sd.build(strong.Constraints, attr)
+		if !wd.superset(&sd) {
 			return false
 		}
 	}
@@ -386,5 +373,36 @@ func TestStrongAgreesWithDomainsProperty(t *testing.T) {
 	}
 	if positives == 0 {
 		t.Fatal("property never exercised a positive claim")
+	}
+}
+
+// TestCoveredByAllocs pins the covering check's allocation profile: the
+// early rejects that decide most comparisons of a scan allocate nothing,
+// nor does a full check over equalities and intervals, and preparing
+// the strong side builds no attribute set — the Strong and its domain
+// slice are its only allocations.
+func TestCoveredByAllocs(t *testing.T) {
+	strong := NewStrong(MustParseFilter(`class = "T" && x = 1 && y < 5 && s prefix "ab"`), nil)
+	for _, tt := range []struct {
+		name string
+		weak string
+		want bool
+	}{
+		{"class mismatch", `class = "U" && x = 1`, false},
+		{"missing attribute", `class = "T" && z = 1`, false},
+		{"unequal equalities", `class = "T" && x = 2 && y < 9`, false},
+		{"equalities and intervals", `class = "T" && x = 1 && y <= 5`, true},
+	} {
+		weak := MustParseFilter(tt.weak)
+		if got := strong.CoveredBy(weak); got != tt.want {
+			t.Fatalf("%s: CoveredBy = %v, want %v", tt.name, got, tt.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { strong.CoveredBy(weak) }); n != 0 {
+			t.Errorf("%s: %v allocations per check, want 0", tt.name, n)
+		}
+	}
+	f := MustParseFilter(`class = "T" && a = 1 && b < 5 && b > 1 && c >= 2 && d exists`)
+	if n := testing.AllocsPerRun(100, func() { NewStrong(f, nil) }); n > 2 {
+		t.Errorf("NewStrong: %v allocations, want at most 2 (Strong + domains)", n)
 	}
 }

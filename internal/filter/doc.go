@@ -10,6 +10,15 @@
 // level up as Subscription, a set of filters of which at least one must
 // match.
 //
+// Covering is decided per attribute over canonical domains (domain.go).
+// Strong prepares the strong side of many checks once, walking a
+// filter's constraints in place; CoverSet indexes stored filters by an
+// equality or prefix anchor so "does any stored filter cover f?" — the
+// absorb and pruning question of subscription propagation — runs the
+// exact check only on filters that can cover f, with the verdicts of
+// checking them all. Filter.Key renders a filter's canonical text with
+// one exactly-sized allocation.
+//
 // Concurrency and ownership: Filter and Subscription values are
 // immutable after construction by convention — every consumer that
 // stores one long-term (routing tables, matching engines) clones it

@@ -9,7 +9,9 @@ import (
 // domain is the canonical form of all constraints a filter places on a
 // single attribute: an optional exact value, excluded values, an interval,
 // and string-pattern requirements. Covering (Definition 2) reduces to a
-// per-attribute superset check between domains.
+// per-attribute superset check between domains. The exact value and the
+// bounds are held by value, unset while their Value is invalid, so a
+// domain over equalities and intervals is built without allocating.
 //
 // The canonicalization is conservative: combinations it cannot reason
 // about are marked unsupported, and unsupported domains never claim to
@@ -21,19 +23,23 @@ type domain struct {
 	unsupported   bool // cannot reason; never claim coverage either way
 	wildcardOnly  bool // only OpAny/OpExists constraints: any present value
 
-	eq       *event.Value
+	eq       event.Value // valid when the attribute is pinned by OpEq
 	ne       []event.Value
-	lo, hi   *bound
+	lo, hi   bound
 	prefixes []string
 	suffixes []string
 	contains []string
 }
 
-// bound is one end of an interval.
+// bound is one end of an interval; the zero bound is absent.
 type bound struct {
 	v      event.Value
 	strict bool
 }
+
+func (b bound) set() bool { return b.v.IsValid() }
+
+func (d *domain) hasEq() bool { return d.eq.IsValid() }
 
 // family classifies the value kinds a domain's constraints speak about.
 type family int
@@ -59,9 +65,11 @@ func familyOf(v event.Value) family {
 	}
 }
 
-// buildDomain canonicalizes the constraints on one attribute.
-func buildDomain(cs []Constraint) *domain {
-	d := &domain{wildcardOnly: true}
+// build canonicalizes the constraints of cs on attr into the zero
+// domain d; constraints on other attributes are skipped, so a filter's
+// constraint list is walked in place.
+func (d *domain) build(cs []Constraint, attr string) {
+	d.wildcardOnly = true
 	fam := famNone
 	join := func(v event.Value) bool {
 		f := familyOf(v)
@@ -82,51 +90,50 @@ func buildDomain(cs []Constraint) *domain {
 		return true
 	}
 	for _, c := range cs {
-		if c.IsWildcard() {
+		if c.Attr != attr || c.IsWildcard() {
 			continue
 		}
 		d.wildcardOnly = false
 		switch c.Op {
 		case OpEq:
 			if !join(c.Operand) {
-				return d
+				return
 			}
-			if d.eq != nil && !d.eq.Equal(c.Operand) {
+			if d.hasEq() && !d.eq.Equal(c.Operand) {
 				d.contradictory = true
-				return d
+				return
 			}
-			v := c.Operand
-			d.eq = &v
+			d.eq = c.Operand
 		case OpNe:
 			// Ne is pure exclusion: it imposes no kind family (values of
 			// other kinds trivially satisfy it), so no join here.
 			d.ne = append(d.ne, c.Operand)
 		case OpLt, OpLe:
 			if !join(c.Operand) {
-				return d
+				return
 			}
-			nb := &bound{v: c.Operand, strict: c.Op == OpLt}
-			if d.hi == nil || tighterHigh(nb, d.hi) {
+			nb := bound{v: c.Operand, strict: c.Op == OpLt}
+			if !d.hi.set() || tighterHigh(nb, d.hi) {
 				d.hi = nb
 			}
 		case OpGt, OpGe:
 			if !join(c.Operand) {
-				return d
+				return
 			}
-			nb := &bound{v: c.Operand, strict: c.Op == OpGt}
-			if d.lo == nil || tighterLow(nb, d.lo) {
+			nb := bound{v: c.Operand, strict: c.Op == OpGt}
+			if !d.lo.set() || tighterLow(nb, d.lo) {
 				d.lo = nb
 			}
 		case OpPrefix, OpSuffix, OpContains:
 			if c.Operand.Kind() != event.KindString {
 				d.contradictory = true
-				return d
+				return
 			}
 			if fam == famNone {
 				fam = famString
 			} else if fam != famString {
 				d.contradictory = true
-				return d
+				return
 			}
 			switch c.Op {
 			case OpPrefix:
@@ -138,15 +145,27 @@ func buildDomain(cs []Constraint) *domain {
 			}
 		default:
 			d.unsupported = true
-			return d
+			return
 		}
 	}
 	d.checkContradictions()
-	return d
+}
+
+// firstOnAttr reports whether cs[i] is the first constraint of cs on its
+// attribute: iterating the indexes for which it holds visits each
+// constrained attribute once, in first-seen order, without building a
+// set.
+func firstOnAttr(cs []Constraint, i int) bool {
+	for _, c := range cs[:i] {
+		if c.Attr == cs[i].Attr {
+			return false
+		}
+	}
+	return true
 }
 
 // tighterHigh reports whether a is a strictly tighter upper bound than b.
-func tighterHigh(a, b *bound) bool {
+func tighterHigh(a, b bound) bool {
 	c, ok := a.v.Compare(b.v)
 	if !ok {
 		return false
@@ -155,7 +174,7 @@ func tighterHigh(a, b *bound) bool {
 }
 
 // tighterLow reports whether a is a strictly tighter lower bound than b.
-func tighterLow(a, b *bound) bool {
+func tighterLow(a, b bound) bool {
 	c, ok := a.v.Compare(b.v)
 	if !ok {
 		return false
@@ -167,7 +186,7 @@ func (d *domain) checkContradictions() {
 	if d.contradictory || d.unsupported {
 		return
 	}
-	if d.lo != nil && d.hi != nil {
+	if d.lo.set() && d.hi.set() {
 		c, ok := d.lo.v.Compare(d.hi.v)
 		if !ok {
 			d.contradictory = true
@@ -178,10 +197,8 @@ func (d *domain) checkContradictions() {
 			return
 		}
 	}
-	if d.eq != nil {
-		if !d.admitsValue(*d.eq) {
-			d.contradictory = true
-		}
+	if d.hasEq() && !d.admitsValue(d.eq) {
+		d.contradictory = true
 	}
 }
 
@@ -189,13 +206,13 @@ func (d *domain) checkContradictions() {
 // patterns allow the given value. (eq is not consulted by design: callers
 // use it to validate eq itself.)
 func (d *domain) admitsValue(v event.Value) bool {
-	if d.lo != nil {
+	if d.lo.set() {
 		c, ok := v.Compare(d.lo.v)
 		if !ok || c < 0 || (c == 0 && d.lo.strict) {
 			return false
 		}
 	}
-	if d.hi != nil {
+	if d.hi.set() {
 		c, ok := v.Compare(d.hi.v)
 		if !ok || c > 0 || (c == 0 && d.hi.strict) {
 			return false
@@ -247,20 +264,17 @@ func (w *domain) superset(s *domain) bool {
 		return false
 	}
 	// Exact value on the weak side: the strong side must force it.
-	if w.eq != nil {
-		if s.eq != nil && s.eq.Equal(*w.eq) {
-			return w.residualAdmits(s)
-		}
-		if s.degenerateAt(*w.eq) {
-			return w.residualAdmits(s)
+	if w.hasEq() {
+		if v, ok := s.pinned(); ok && v.Equal(w.eq) {
+			return w.admitsValue(v)
 		}
 		return false
 	}
 	// Interval bounds.
-	if w.lo != nil && !s.guaranteesLow(w.lo) {
+	if w.lo.set() && !s.guaranteesLow(w.lo) {
 		return false
 	}
-	if w.hi != nil && !s.guaranteesHigh(w.hi) {
+	if w.hi.set() && !s.guaranteesHigh(w.hi) {
 		return false
 	}
 	// Exclusions: every value w rejects must already be rejected by s.
@@ -288,33 +302,27 @@ func (w *domain) superset(s *domain) bool {
 	return true
 }
 
-// residualAdmits checks w's exclusions and patterns against the single
-// value s is pinned to (used when w.eq is satisfied exactly).
-func (w *domain) residualAdmits(s *domain) bool {
-	v := w.eq
-	if s.eq != nil {
-		v = s.eq
+// pinned returns the single value a satisfiable domain admits, when it
+// admits only one: its equality, or a non-strict interval whose ends
+// compare equal.
+func (s *domain) pinned() (event.Value, bool) {
+	if s.hasEq() {
+		return s.eq, true
 	}
-	return w.admitsValue(*v)
-}
-
-// degenerateAt reports whether s's interval pins values to exactly v.
-func (s *domain) degenerateAt(v event.Value) bool {
-	if s.lo == nil || s.hi == nil || s.lo.strict || s.hi.strict {
-		return false
+	if !s.lo.set() || !s.hi.set() || s.lo.strict || s.hi.strict {
+		return event.Value{}, false
 	}
-	cl, ok1 := s.lo.v.Compare(v)
-	ch, ok2 := s.hi.v.Compare(v)
-	return ok1 && ok2 && cl == 0 && ch == 0
+	c, ok := s.lo.v.Compare(s.hi.v)
+	return s.lo.v, ok && c == 0
 }
 
 // guaranteesLow reports whether s guarantees the weak lower bound wb.
-func (s *domain) guaranteesLow(wb *bound) bool {
-	if s.eq != nil {
+func (s *domain) guaranteesLow(wb bound) bool {
+	if s.hasEq() {
 		c, ok := s.eq.Compare(wb.v)
 		return ok && (c > 0 || (c == 0 && !wb.strict))
 	}
-	if s.lo == nil {
+	if !s.lo.set() {
 		return false
 	}
 	c, ok := s.lo.v.Compare(wb.v)
@@ -326,12 +334,12 @@ func (s *domain) guaranteesLow(wb *bound) bool {
 }
 
 // guaranteesHigh reports whether s guarantees the weak upper bound wb.
-func (s *domain) guaranteesHigh(wb *bound) bool {
-	if s.eq != nil {
+func (s *domain) guaranteesHigh(wb bound) bool {
+	if s.hasEq() {
 		c, ok := s.eq.Compare(wb.v)
 		return ok && (c < 0 || (c == 0 && !wb.strict))
 	}
-	if s.hi == nil {
+	if !s.hi.set() {
 		return false
 	}
 	c, ok := s.hi.v.Compare(wb.v)
@@ -344,11 +352,11 @@ func (s *domain) guaranteesHigh(wb *bound) bool {
 // excludes reports whether s provably rejects value x (no value admitted
 // by s is equal to x).
 func (s *domain) excludes(x event.Value) bool {
-	if s.eq != nil {
+	if s.hasEq() {
 		// s pins the value to exactly eq; x is excluded iff it differs.
 		return !s.eq.Equal(x)
 	}
-	if s.lo != nil {
+	if s.lo.set() {
 		c, ok := x.Compare(s.lo.v)
 		if !ok {
 			// Admitted values must be comparable with the bound; x is not.
@@ -358,7 +366,7 @@ func (s *domain) excludes(x event.Value) bool {
 			return true
 		}
 	}
-	if s.hi != nil {
+	if s.hi.set() {
 		c, ok := x.Compare(s.hi.v)
 		if !ok {
 			return true
@@ -396,7 +404,7 @@ func (s *domain) excludes(x event.Value) bool {
 
 // guaranteesPrefix reports whether every value in s starts with p.
 func (s *domain) guaranteesPrefix(p string) bool {
-	if s.eq != nil {
+	if s.hasEq() {
 		return s.eq.Kind() == event.KindString && strings.HasPrefix(s.eq.Str(), p)
 	}
 	for _, q := range s.prefixes {
@@ -409,7 +417,7 @@ func (s *domain) guaranteesPrefix(p string) bool {
 
 // guaranteesSuffix reports whether every value in s ends with p.
 func (s *domain) guaranteesSuffix(p string) bool {
-	if s.eq != nil {
+	if s.hasEq() {
 		return s.eq.Kind() == event.KindString && strings.HasSuffix(s.eq.Str(), p)
 	}
 	for _, q := range s.suffixes {
@@ -422,7 +430,7 @@ func (s *domain) guaranteesSuffix(p string) bool {
 
 // guaranteesContains reports whether every value in s contains p.
 func (s *domain) guaranteesContains(p string) bool {
-	if s.eq != nil {
+	if s.hasEq() {
 		return s.eq.Kind() == event.KindString && strings.Contains(s.eq.Str(), p)
 	}
 	for _, q := range s.contains {
@@ -446,8 +454,12 @@ func (s *domain) guaranteesContains(p string) bool {
 // Satisfiable reports whether the filter is not provably contradictory.
 // Unsupported combinations are assumed satisfiable.
 func (f *Filter) Satisfiable() bool {
-	for _, attr := range f.Attrs() {
-		if buildDomain(f.ConstraintsOn(attr)).contradictory {
+	for i, c := range f.Constraints {
+		if !firstOnAttr(f.Constraints, i) {
+			continue
+		}
+		var d domain
+		if d.build(f.Constraints, c.Attr); d.contradictory {
 			return false
 		}
 	}

@@ -1,7 +1,7 @@
 package filter
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"eventsys/internal/event"
@@ -53,14 +53,18 @@ func (c Constraint) MatchesValue(v event.Value) bool { return c.Op.eval(v, c.Ope
 func (c Constraint) IsWildcard() bool { return c.Op == OpAny || c.Op == OpExists }
 
 // String renders the constraint in the paper's tuple notation.
-func (c Constraint) String() string {
-	if !c.Op.NeedsOperand() {
-		if c.Op == OpAny {
-			return fmt.Sprintf("(%s, ALL, =)", c.Attr)
-		}
-		return fmt.Sprintf("(%s, ∃)", c.Attr)
+func (c Constraint) String() string { return string(c.appendTo(nil)) }
+
+func (c Constraint) appendTo(b []byte) []byte {
+	b = append(append(b, '('), c.Attr...)
+	switch {
+	case c.Op == OpAny:
+		return append(b, ", ALL, =)"...)
+	case !c.Op.NeedsOperand():
+		return append(b, ", ∃)"...)
 	}
-	return fmt.Sprintf("(%s, %s, %s)", c.Attr, c.Operand, c.Op)
+	b = c.Operand.AppendTo(append(b, ", "...))
+	return append(append(append(b, ", "...), c.Op.String()...), ')')
 }
 
 // Filter is a conjunction of constraints plus an optional class constraint
@@ -196,22 +200,26 @@ func (f *Filter) Equal(o *Filter) bool {
 func (f *Filter) Key() string { return f.String() }
 
 // String renders the filter in the paper's notation, e.g.
-// (class, "Stock", =) (symbol, "Foo", =) (price, 5, >).
+// (class, "Stock", =) (symbol, "Foo", =) (price, 5, >). The text is
+// assembled in a stack buffer and copied out once, so the string a
+// routing table keeps as a key carries no growth slack.
 func (f *Filter) String() string {
-	var b strings.Builder
-	if f.Class != "" {
-		fmt.Fprintf(&b, "(%s, %q, =)", event.TypeAttr, f.Class)
-	}
-	for _, c := range f.Constraints {
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(c.String())
-	}
-	if b.Len() == 0 {
+	if f.Class == "" && len(f.Constraints) == 0 {
 		return "(f_T)"
 	}
-	return b.String()
+	var buf [256]byte
+	b := buf[:0]
+	if f.Class != "" {
+		b = append(b, "("+event.TypeAttr+", "...)
+		b = append(strconv.AppendQuote(b, f.Class), ", =)"...)
+	}
+	for i, c := range f.Constraints {
+		if i > 0 || f.Class != "" {
+			b = append(b, ' ')
+		}
+		b = c.appendTo(b)
+	}
+	return string(b)
 }
 
 // Subscription is a disjunction of filters: it matches when at least one

@@ -1,6 +1,11 @@
 package filter
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"strconv"
+	"strings"
 	"testing"
 
 	"eventsys/internal/event"
@@ -276,5 +281,90 @@ func TestSatisfiable(t *testing.T) {
 				t.Errorf("Satisfiable = %v, want %v", got, tt.want)
 			}
 		})
+	}
+}
+
+// fmtString is the fmt-based rendering Filter.String had before it was
+// assembled with strconv appends; keys persisted by routing tables and
+// digests depend on the text staying byte for byte the same.
+func fmtString(f *Filter) string {
+	var b strings.Builder
+	if f.Class != "" {
+		fmt.Fprintf(&b, "(%s, %q, =)", event.TypeAttr, f.Class)
+	}
+	for _, c := range f.Constraints {
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		switch {
+		case c.Op == OpAny:
+			fmt.Fprintf(&b, "(%s, ALL, =)", c.Attr)
+		case !c.Op.NeedsOperand():
+			fmt.Fprintf(&b, "(%s, ∃)", c.Attr)
+		default:
+			fmt.Fprintf(&b, "(%s, %s, %s)", c.Attr, fmtValue(c.Operand), c.Op)
+		}
+	}
+	if b.Len() == 0 {
+		return "(f_T)"
+	}
+	return b.String()
+}
+
+func fmtValue(v event.Value) string {
+	switch v.Kind() {
+	case event.KindString:
+		return strconv.Quote(v.Str())
+	case event.KindInt:
+		return strconv.FormatInt(v.IntVal(), 10)
+	case event.KindFloat:
+		return strconv.FormatFloat(v.Num(), 'g', -1, 64)
+	case event.KindBool:
+		return strconv.FormatBool(v.BoolVal())
+	}
+	return "<invalid>"
+}
+
+func TestFilterStringByteIdentical(t *testing.T) {
+	texts := []string{"", "Stock", `q"uo\te`, "日本", "é\n\t", "\xff\xfe", "a b", strings.Repeat("long", 80)}
+	values := []event.Value{
+		{}, event.Int(0), event.Int(-7), event.Int(1 << 53), event.Int(math.MaxInt64), event.Int(math.MinInt64),
+		event.Float(math.Copysign(0, -1)), event.Float(2.5), event.Float(1e300), event.Float(-1e-300),
+		event.Float(math.Inf(1)), event.Float(math.Inf(-1)), event.Float(math.NaN()),
+		event.Bool(true), event.Bool(false),
+	}
+	for _, s := range texts {
+		values = append(values, event.String(s))
+	}
+	rng := rand.New(rand.NewPCG(9, 10))
+	check := func(f *Filter) {
+		t.Helper()
+		if got, want := f.String(), fmtString(f); got != want {
+			t.Fatalf("String() = %q, fmt rendering %q", got, want)
+		}
+	}
+	check(&Filter{})
+	for range 3000 {
+		f := &Filter{}
+		if rng.IntN(3) > 0 {
+			f.Class = texts[rng.IntN(len(texts))]
+		}
+		for n := rng.IntN(5); n > 0; n-- {
+			f.Constraints = append(f.Constraints, Constraint{
+				Attr:    texts[rng.IntN(len(texts))],
+				Op:      Op(rng.IntN(int(OpAny) + 2)), // every operator, OpInvalid and one past
+				Operand: values[rng.IntN(len(values))],
+			})
+		}
+		check(f)
+	}
+}
+
+// TestFilterKeyOneAllocation: a key is rendered in place and copied out
+// once, exactly sized — routing tables keep one per stored filter.
+func TestFilterKeyOneAllocation(t *testing.T) {
+	f := MustParseFilter(`class = "Alert" && metric = "metric-00042" && value >= 99.925 && topic any && note any`)
+	if n := testing.AllocsPerRun(100, func() { _ = f.Key() }); n != 1 {
+		t.Errorf("Key: %v allocations, want 1", n)
 	}
 }

@@ -26,11 +26,10 @@ import (
 func (f *Filter) Simplify() *Filter {
 	out := &Filter{Class: f.Class}
 	for _, attr := range f.Attrs() {
-		cs := f.ConstraintsOn(attr)
-		d := buildDomain(cs)
-		if d.contradictory || d.unsupported {
+		var d domain
+		if d.build(f.Constraints, attr); d.contradictory || d.unsupported {
 			// Leave pathological attribute sets untouched.
-			out.Constraints = append(out.Constraints, cs...)
+			out.Constraints = append(out.Constraints, f.ConstraintsOn(attr)...)
 			continue
 		}
 		out.Constraints = append(out.Constraints, d.constraints(attr)...)
@@ -44,20 +43,20 @@ func (d *domain) constraints(attr string) []Constraint {
 		return []Constraint{Wild(attr)}
 	}
 	var out []Constraint
-	if d.eq != nil {
-		out = append(out, Constraint{Attr: attr, Op: OpEq, Operand: *d.eq})
+	if d.hasEq() {
+		out = append(out, Constraint{Attr: attr, Op: OpEq, Operand: d.eq})
 		// Exclusions and patterns were validated against eq during
 		// canonicalization; they are redundant.
 		return out
 	}
-	if d.lo != nil {
+	if d.lo.set() {
 		op := OpGe
 		if d.lo.strict {
 			op = OpGt
 		}
 		out = append(out, Constraint{Attr: attr, Op: op, Operand: d.lo.v})
 	}
-	if d.hi != nil {
+	if d.hi.set() {
 		op := OpLe
 		if d.hi.strict {
 			op = OpLt
@@ -117,13 +116,13 @@ func reduceImplied(in []string, implies func(q, p string) bool) []string {
 // intervalAdmits reports whether the interval part of the domain admits
 // v (ignoring exclusions and patterns).
 func (d *domain) intervalAdmits(v event.Value) bool {
-	if d.lo != nil {
+	if d.lo.set() {
 		c, ok := v.Compare(d.lo.v)
 		if !ok || c < 0 || (c == 0 && d.lo.strict) {
 			return false
 		}
 	}
-	if d.hi != nil {
+	if d.hi.set() {
 		c, ok := v.Compare(d.hi.v)
 		if !ok || c > 0 || (c == 0 && d.hi.strict) {
 			return false

@@ -89,8 +89,10 @@ type Counters struct {
 
 	peerPropagated atomic.Uint64
 	peerSuppressed atomic.Uint64
+	peerAbsorbed   atomic.Uint64
 	peerForwarded  atomic.Uint64
 	peerResyncs    atomic.Uint64
+	coverChecks    atomic.Uint64
 }
 
 // AddReceived records n events received for filtering.
@@ -170,6 +172,16 @@ func (c *Counters) AddPeerPropagated(n uint64) { c.peerPropagated.Add(n) }
 // instead of propagated (the federation plane's state economy).
 func (c *Counters) AddPeerSuppressed(n uint64) { c.peerSuppressed.Add(n) }
 
+// AddPeerAbsorbed records n local subscriptions absorbed because one of
+// the subscriber's own filters already covers them: they add no matches
+// and are not propagated.
+func (c *Counters) AddPeerAbsorbed(n uint64) { c.peerAbsorbed.Add(n) }
+
+// AddCoverChecks records n exact covering checks run by the federation
+// plane's absorb and pruning queries — what the covering index did not
+// skip.
+func (c *Counters) AddCoverChecks(n uint64) { c.coverChecks.Add(n) }
+
 // AddPeerForwarded records n events forwarded to peer links.
 func (c *Counters) AddPeerForwarded(n uint64) { c.peerForwarded.Add(n) }
 
@@ -233,6 +245,13 @@ func (c *Counters) PeerPropagated() uint64 { return c.peerPropagated.Load() }
 // PeerSuppressed returns the covering-pruned peer-entry count.
 func (c *Counters) PeerSuppressed() uint64 { return c.peerSuppressed.Load() }
 
+// PeerAbsorbed returns the count of local subscriptions absorbed by the
+// subscriber's own filters.
+func (c *Counters) PeerAbsorbed() uint64 { return c.peerAbsorbed.Load() }
+
+// CoverChecks returns the exact-covering-check count.
+func (c *Counters) CoverChecks() uint64 { return c.coverChecks.Load() }
+
 // PeerForwarded returns the events-forwarded-to-peer-links count.
 func (c *Counters) PeerForwarded() uint64 { return c.peerForwarded.Load() }
 
@@ -269,8 +288,10 @@ func (c *Counters) Stats(nodeID string, stage int) NodeStats {
 		BatchSizeSum:   c.BatchSizeSum(),
 		PeerPropagated: c.PeerPropagated(),
 		PeerSuppressed: c.PeerSuppressed(),
+		PeerAbsorbed:   c.PeerAbsorbed(),
 		PeerForwarded:  c.PeerForwarded(),
 		PeerResyncs:    c.PeerResyncs(),
+		CoverChecks:    c.CoverChecks(),
 	}
 }
 
@@ -313,14 +334,20 @@ type NodeStats struct {
 	// of events coalesced per pass (1.0 means batching never kicked in).
 	BatchesMatched uint64
 	BatchSizeSum   uint64
-	// PeerPropagated, PeerSuppressed, PeerForwarded and PeerResyncs
-	// describe the node's federation plane: subscription entries sent to
-	// peer brokers, entries pruned by covering instead (state economy),
-	// events forwarded along peer links, and link resyncs performed.
+	// PeerPropagated, PeerSuppressed, PeerAbsorbed, PeerForwarded and
+	// PeerResyncs describe the node's federation plane: subscription
+	// entries sent to peer brokers, entries pruned by covering instead
+	// (state economy), local subscriptions absorbed by their subscriber's
+	// own filters, events forwarded along peer links, and link resyncs
+	// performed. CoverChecks counts the exact covering checks the absorb
+	// and pruning queries ran; per subscription it stays flat as a
+	// subscriber's filters grow when the covering index is doing its job.
 	PeerPropagated uint64
 	PeerSuppressed uint64
+	PeerAbsorbed   uint64
 	PeerForwarded  uint64
 	PeerResyncs    uint64
+	CoverChecks    uint64
 }
 
 // LC returns the load complexity of the node (Section 5.1).

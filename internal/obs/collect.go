@@ -64,6 +64,12 @@ func CollectNodeStats(w *MetricWriter, stats ...metrics.NodeStats) {
 		w.Counter("eventsys_node_peer_suppressed_total",
 			"Subscription entries pruned by covering instead of propagated.",
 			float64(s.PeerSuppressed), l...)
+		w.Counter("eventsys_node_peer_absorbed_total",
+			"Local subscriptions absorbed by a filter their subscriber already holds.",
+			float64(s.PeerAbsorbed), l...)
+		w.Counter("eventsys_node_cover_checks_total",
+			"Exact covering checks run by subscription absorb and pruning.",
+			float64(s.CoverChecks), l...)
 		w.Counter("eventsys_node_peer_forwarded_events_total",
 			"Events forwarded to federation peer links.", float64(s.PeerForwarded), l...)
 		w.Counter("eventsys_node_peer_resyncs_total",

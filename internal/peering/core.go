@@ -14,6 +14,11 @@
 //     neighbor, kept for covering-based pruning: a filter already
 //     covered by one on the link is suppressed, never sent.
 //
+// Both covering questions — is a new local filter absorbed by the
+// subscriber's own, is an entry already covered on a link — are asked of
+// a filter.CoverSet, which runs the exact check only on the stored
+// filters that can cover the new one.
+//
 // Subscription state travels as Entry values: the subscriber's original
 // filter plus the receiver's hop distance from the subscriber's home
 // broker. Receivers store the hop-weakened form (multi-stage weakening
@@ -75,7 +80,8 @@ type Config struct {
 	// weakening even with Ads set.
 	MaxStage int
 	// Counters, when non-nil, receives aggregate propagation metrics
-	// (subs propagated / suppressed by covering).
+	// (subs propagated / suppressed / absorbed by covering, exact
+	// covering checks run).
 	Counters *metrics.Counters
 }
 
@@ -104,7 +110,7 @@ type interest struct {
 type link struct {
 	id        LinkID
 	interests []interest
-	sent      []*filter.Filter
+	sent      filter.CoverSet
 	// standby inverts the activation flag so the zero value is an active
 	// link (the mesh and pre-election transports never touch it). A
 	// standby link is a registered failover edge: it receives no
@@ -125,8 +131,8 @@ type Core struct {
 	counters *metrics.Counters
 
 	links  map[LinkID]*link
-	order  []LinkID // deterministic iteration
-	locals map[string][]*filter.Filter
+	order  []LinkID                    // deterministic iteration
+	locals map[string]*filter.CoverSet // never empty
 }
 
 // New creates an empty Core.
@@ -140,7 +146,7 @@ func New(cfg Config) *Core {
 		maxStage: cfg.MaxStage,
 		counters: cfg.Counters,
 		links:    make(map[LinkID]*link),
-		locals:   make(map[string][]*filter.Filter),
+		locals:   make(map[string]*filter.CoverSet),
 	}
 	if cfg.Ads != nil {
 		c.weak = weaken.New(cfg.Ads, conf)
@@ -189,7 +195,7 @@ func (c *Core) Links() []LinkID {
 
 // HasLocal reports whether a local subscriber is registered.
 func (c *Core) HasLocal(subID string) bool {
-	return len(c.locals[subID]) > 0
+	return c.locals[subID] != nil
 }
 
 // weakenFor returns the filter weakened for hop distance h (clamped to
@@ -210,19 +216,28 @@ func (c *Core) weakenFor(f *filter.Filter, hops int) *filter.Filter {
 // when pruned.
 func (c *Core) offer(l *link, e Entry) *Update {
 	wf := c.weakenFor(e.Filter, e.Hops)
-	if filter.CoveredByAny(l.sent, wf, c.conf) {
+	if c.covered(&l.sent, wf) {
 		l.suppressed++
 		if c.counters != nil {
 			c.counters.AddPeerSuppressed(1)
 		}
 		return nil // link already carries a superset
 	}
-	l.sent = append(l.sent, wf)
+	l.sent.Add(wf)
 	l.propagated++
 	if c.counters != nil {
 		c.counters.AddPeerPropagated(1)
 	}
 	return &Update{Link: l.id, Entry: Entry{Filter: e.Filter.Clone(), Hops: e.Hops}}
+}
+
+// covered asks set whether it covers f and counts the exact checks run.
+func (c *Core) covered(set *filter.CoverSet, f *filter.Filter) bool {
+	covered, checks := set.CoveredByAny(f, c.conf)
+	if c.counters != nil {
+		c.counters.AddCoverChecks(uint64(checks))
+	}
+	return covered
 }
 
 // Subscribe adds a filter to a local subscriber (one subscriber may hold
@@ -232,10 +247,17 @@ func (c *Core) offer(l *link, e Entry) *Update {
 // filter already covered by one of the subscriber's existing filters is
 // absorbed — it adds no matches and no propagation.
 func (c *Core) Subscribe(subID string, f *filter.Filter) []Update {
-	if filter.CoveredByAny(c.locals[subID], f, c.conf) {
+	own := c.locals[subID]
+	if own == nil {
+		own = &filter.CoverSet{}
+		c.locals[subID] = own
+	} else if c.covered(own, f) {
+		if c.counters != nil {
+			c.counters.AddPeerAbsorbed(1)
+		}
 		return nil
 	}
-	c.locals[subID] = append(c.locals[subID], f.Clone())
+	own.Add(f.Clone())
 	var out []Update
 	for _, id := range c.order {
 		if c.links[id].standby {
@@ -254,7 +276,7 @@ func (c *Core) Subscribe(subID string, f *filter.Filter) []Update {
 // weakened filter until a link resync rebuilds their interest set —
 // over-forwarding, never under-delivery.
 func (c *Core) Unsubscribe(subID string) bool {
-	if len(c.locals[subID]) == 0 {
+	if c.locals[subID] == nil {
 		return false
 	}
 	delete(c.locals, subID)
@@ -303,7 +325,7 @@ func (c *Core) Replace(from LinkID, entries []Entry) []Update {
 func (c *Core) Sync(to LinkID) []Entry {
 	c.AddLink(to)
 	l := c.links[to]
-	l.sent = nil
+	l.sent = filter.CoverSet{}
 	var out []Entry
 	// Locals in sorted order for determinism.
 	ids := make([]string, 0, len(c.locals))
@@ -312,7 +334,7 @@ func (c *Core) Sync(to LinkID) []Entry {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		for _, f := range c.locals[id] {
+		for _, f := range c.locals[id].Filters() {
 			if u := c.offer(l, Entry{Filter: f, Hops: 1}); u != nil {
 				out = append(out, u.Entry)
 			}
@@ -353,8 +375,8 @@ func (c *Core) Entries(from LinkID) []Entry {
 // the live path.
 func (c *Core) MatchLocals(e event.View) []string {
 	var out []string
-	for id, fs := range c.locals {
-		for _, f := range fs {
+	for id, own := range c.locals {
+		for _, f := range own.Filters() {
 			if f.Matches(e, c.conf) {
 				out = append(out, id)
 				break
@@ -408,8 +430,8 @@ func (c *Core) MatchLink(e event.View, id LinkID) bool {
 // per-link interests), the quantity the paper's LC counts.
 func (c *Core) FilterCount() int {
 	n := 0
-	for _, fs := range c.locals {
-		n += len(fs)
+	for _, own := range c.locals {
+		n += own.Len()
 	}
 	for _, l := range c.links {
 		n += len(l.interests)
@@ -425,7 +447,7 @@ func (c *Core) LinkStats() []LinkStats {
 		out = append(out, LinkStats{
 			Link:       id,
 			Interests:  len(l.interests),
-			Sent:       len(l.sent),
+			Sent:       l.sent.Len(),
 			Propagated: l.propagated,
 			Suppressed: l.suppressed,
 		})

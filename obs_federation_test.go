@@ -113,7 +113,8 @@ func TestObservabilityFederationScrape(t *testing.T) {
 	firstA, firstB := scrape(a), scrape(b)
 
 	// Every stats surface shows up: node counters, flow queue gauges,
-	// peer-link families, hop histograms, engine shape, socket counters.
+	// peer-link families, hop histograms, engine shape, socket counters,
+	// covering-index counters.
 	for _, want := range []string{
 		"eventsys_node_received_events_total",
 		"eventsys_node_lc",
@@ -126,6 +127,8 @@ func TestObservabilityFederationScrape(t *testing.T) {
 		"eventsys_conn_frames_read_total",
 		"eventsys_conn_writes_total",
 		"eventsys_conn_frames_written_total",
+		"eventsys_node_cover_checks_total",
+		"eventsys_node_peer_absorbed_total",
 	} {
 		for who, exp := range map[string]string{"geneva": firstA, "zurich": firstB} {
 			if !strings.Contains(exp, want) {

@@ -112,4 +112,17 @@ echo "partition fan-in decision (benchtime=$BENCHTIME) -> $pf" >&2
     go test -run '^$' -bench 'BenchmarkPartitionedFanIn' -benchmem -benchtime "$BENCHTIME" .
 } > "$pf"
 
+# Subscription absorb at growing per-subscriber populations: the
+# covering index should keep ns/subscribe and checks/subscribe flat from
+# 1 to 2000 filters under one ID. Recorded, not gated; the raw numbers
+# land in CORE_SUBSCRIBE.txt next to the BENCH_<n> sets.
+cs="$OUT/CORE_SUBSCRIBE.txt"
+echo "peering core subscribe scaling (benchtime=$BENCHTIME) -> $cs" >&2
+{
+    echo "# peering.Core.Subscribe cost while one ID fills to filters-per-id alarm"
+    echo "# filters (absorb against the ID's own filters + pruning on one link);"
+    echo "# ns/subscribe and checks/subscribe (exact covering checks) per call."
+    go test -run '^$' -bench 'BenchmarkCoreSubscribe' -benchmem -benchtime "$BENCHTIME" ./internal/peering/
+} > "$cs"
+
 echo "wrote $COUNT result set(s) to $OUT/" >&2

@@ -10,10 +10,13 @@
 //
 // A broker's exposition (recognized by its topology families) must also
 // carry eventsys_engine_filters, the family that shows whether the
-// stored subscriptions fit the matching engine's indexes, and the four
+// stored subscriptions fit the matching engine's indexes; the four
 // eventsys_conn_* families, whose ratios (frames per read, frames per
-// write) show whether the socket boundary is batching; a scrape that lost
-// one is reported like a malformed one.
+// write) show whether the socket boundary is batching; and
+// eventsys_node_cover_checks_total and eventsys_node_peer_absorbed_total,
+// whose ratio to subscriptions shows whether the covering index keeps
+// subscription absorb sub-linear. A scrape that lost one is reported like
+// a malformed one.
 //
 // Exit status 0 means the exposition is well-formed; 1 reports the
 // first violation on stderr.
@@ -71,6 +74,7 @@ func run(args []string) error {
 			"eventsys_engine_filters",
 			"eventsys_conn_reads_total", "eventsys_conn_frames_read_total",
 			"eventsys_conn_writes_total", "eventsys_conn_frames_written_total",
+			"eventsys_node_cover_checks_total", "eventsys_node_peer_absorbed_total",
 		} {
 			if !bytes.Contains(body, []byte("# TYPE "+family+" ")) {
 				return fmt.Errorf("broker exposition lacks the %s family", family)
