@@ -11,7 +11,7 @@
 //	BenchmarkBroadcast        — broadcast baseline per-subscriber load
 //	BenchmarkPlacementAblation— A1: covering-search vs random placement
 //	BenchmarkPrefilterAblation— A2: pre-filtering vs class-only flooding
-//	BenchmarkMatchingEngines  — A3: naive table (Fig. 6) vs counting index
+//	BenchmarkMatchingEngines  — A3: naive table (Fig. 6) vs predicate index
 //
 // plus microbenchmarks for the core operations (matching, covering,
 // weakening, parsing, reflection extraction, wire codec, end-to-end
@@ -182,32 +182,18 @@ func BenchmarkPrefilterAblation(b *testing.B) {
 }
 
 // BenchmarkMatchingEngines contrasts the naive Figure 6 table with the
-// counting index, the sharded parallel engine, and the predicate-indexed
-// engine across subscription populations (A3): matching cost per event.
-// BenchmarkIndexedMatch in internal/index carries the large-population
-// (10k–1M) indexed-engine curve. The sharded engine is
-// measured on its batch path (batches of 64, its deployment shape; see
-// BenchmarkShardedMatch in internal/index for the shard-scaling curve).
+// predicate-indexed engine across subscription populations (A3):
+// matching cost per event. BenchmarkIndexedMatch in internal/index
+// carries the large-population (10k–1M) indexed-engine curve.
 func BenchmarkMatchingEngines(b *testing.B) {
-	const batch = 64
 	for _, filters := range []int{100, 1000, 5000} {
-		for _, engineName := range []string{"naive", "counting", "sharded", "indexed"} {
-			b.Run(fmt.Sprintf("%s/filters=%d", engineName, filters), func(b *testing.B) {
+		for _, kind := range []index.Kind{index.KindNaive, index.KindIndexed} {
+			b.Run(fmt.Sprintf("%s/filters=%d", kind, filters), func(b *testing.B) {
 				bib, err := workload.NewBiblio(7, workload.DefaultBiblio())
 				if err != nil {
 					b.Fatal(err)
 				}
-				var eng index.Engine
-				switch engineName {
-				case "naive":
-					eng = index.NewNaiveTable(nil)
-				case "counting":
-					eng = index.NewCountingTable(nil)
-				case "indexed":
-					eng = index.NewIndexedTable(nil)
-				default:
-					eng = index.NewSharded(nil, 0)
-				}
+				eng := index.New(index.Config{Kind: kind})
 				for i := 0; i < filters; i++ {
 					eng.Insert(bib.Subscription(0.1, true), fmt.Sprintf("id%d", i))
 				}
@@ -216,16 +202,6 @@ func BenchmarkMatchingEngines(b *testing.B) {
 					events[i] = bib.Event()
 				}
 				b.ResetTimer()
-				if engineName == "sharded" {
-					n := 0
-					for b.Loop() {
-						off := n % (len(events) - batch)
-						index.MatchEach(eng, events[off:off+batch])
-						n += batch
-					}
-					b.ReportMetric(float64(batch), "events/op")
-					return
-				}
 				i := 0
 				for b.Loop() {
 					eng.Match(events[i%len(events)])
@@ -335,7 +311,7 @@ func BenchmarkForwardPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	table := index.NewCountingTable(nil)
+	table := index.NewIndexedTable(nil)
 	for i := 0; i < 1000; i++ {
 		table.Insert(bib.Subscription(0.1, true), fmt.Sprintf("s%d", i))
 	}
@@ -447,7 +423,7 @@ func BenchmarkForwardPathTraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	table := index.NewCountingTable(nil)
+	table := index.NewIndexedTable(nil)
 	for i := 0; i < 1000; i++ {
 		table.Insert(bib.Subscription(0.1, true), fmt.Sprintf("s%d", i))
 	}
@@ -594,14 +570,13 @@ func BenchmarkOverlayThroughput(b *testing.B) {
 }
 
 // BenchmarkOverlayBatchThroughput measures end-to-end events/sec through
-// the batched publish pipeline: sharded matching at every broker, 512
+// the batched publish pipeline: indexed matching at every broker, 512
 // subscribers, publishes coalesced into batches of up to 256 as the
 // actors drain their mailboxes.
 func BenchmarkOverlayBatchThroughput(b *testing.B) {
 	sys, err := New(Options{
 		Fanouts:  []int{1, 4, 16},
 		Seed:     1,
-		Engine:   EngineSharded,
 		MaxBatch: 256,
 	})
 	if err != nil {

@@ -38,7 +38,6 @@ import (
 
 	"eventsys/internal/broker"
 	"eventsys/internal/flow"
-	"eventsys/internal/index"
 	"eventsys/internal/obs"
 )
 
@@ -75,8 +74,6 @@ func run(args []string) error {
 	listen := fs.String("listen", "127.0.0.1:7001", "TCP listen address")
 	parent := fs.String("parent", "", "parent broker address (empty = root)")
 	ttl := fs.Duration("ttl", time.Minute, "subscription lease TTL (0 = never expire)")
-	engine := fs.String("engine", "naive", "matching engine: naive, counting, sharded, or indexed")
-	shards := fs.Int("shards", 0, "shard count for -engine sharded (0 = GOMAXPROCS)")
 	maxBatch := fs.Int("max-batch", 0, "events coalesced per matching pass (0 = default 64, 1 = no batching)")
 	var peers []string
 	fs.Func("peer", "peer broker address to federate with (repeatable; each edge on one side only)", func(v string) error {
@@ -111,10 +108,6 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown -fsync policy %q (want batched, always, or never)", *fsync)
 	}
-	kind, err := index.ParseKind(*engine)
-	if err != nil {
-		return err
-	}
 	policy, err := flow.ParsePolicy(*flowPolicy)
 	if err != nil {
 		return err
@@ -145,8 +138,6 @@ func run(args []string) error {
 		ReplicaOf:         *replicaOf,
 		Partitions:        *partitions,
 		TTL:               *ttl,
-		Engine:            kind,
-		Shards:            *shards,
 		MaxBatch:          *maxBatch,
 		Logger:            logger,
 		DataDir:           *dataDir,

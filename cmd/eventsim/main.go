@@ -8,7 +8,7 @@
 //	eventsim -experiment all              # everything, in report order
 //	eventsim -list                        # available experiments
 //	eventsim -experiment fig7 -seed 42    # different population
-//	eventsim -experiment engines -shards 8 -max-batch 256 -subs 10000
+//	eventsim -experiment engines -max-batch 256 -subs 10000
 //
 // It also fronts the deterministic cluster simulator:
 //
@@ -39,7 +39,6 @@ func run(args []string) error {
 	experiment := fs.String("experiment", "all", "experiment id or 'all'")
 	seed := fs.Uint64("seed", 1, "random seed for the population")
 	list := fs.Bool("list", false, "list experiment ids and exit")
-	shards := fs.Int("shards", 0, "shard count for the engines experiment (0 = GOMAXPROCS)")
 	maxBatch := fs.Int("max-batch", 0, "matching batch size for the engines experiment (0 = 64)")
 	subs := fs.Int("subs", 0, "population size for the engines experiment (0 = 5000)")
 	flowWindow := fs.Int("flow-window", 0, "delivery-queue window for the flow experiment (0 = 64)")
@@ -49,7 +48,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts := sim.Options{Shards: *shards, MaxBatch: *maxBatch, Subscribers: *subs, FlowWindow: *flowWindow}
+	opts := sim.Options{MaxBatch: *maxBatch, Subscribers: *subs, FlowWindow: *flowWindow}
 	if *list {
 		for _, name := range sim.Experiments() {
 			fmt.Println(name)

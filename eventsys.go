@@ -39,7 +39,6 @@ import (
 	"eventsys/internal/event"
 	"eventsys/internal/filter"
 	"eventsys/internal/flow"
-	"eventsys/internal/index"
 	"eventsys/internal/metrics"
 	"eventsys/internal/object"
 	"eventsys/internal/obs"
@@ -81,22 +80,9 @@ type Options struct {
 	TTL time.Duration
 	// AutoMaintain renews and sweeps leases in the background (TTL > 0).
 	AutoMaintain bool
-	// Engine selects the matching engine at brokers: EngineNaive (the
-	// paper's Figure 6 table, the default), EngineCounting (inverted
-	// constraint indexes), EngineIndexed (per-operator predicate indexes
-	// — sorted threshold cores, per-length prefix/suffix postings, paired
-	// access∧threshold groups — sub-microsecond matching at million-scale
-	// subscription populations), or EngineSharded (shards matched in
-	// parallel — combine with Shards; Indexed single-threaded is usually
-	// faster than sharded counting on any core count).
-	Engine EngineKind
-	// Shards is the shard count of the sharded engine (EngineSharded
-	// only); 0 means GOMAXPROCS.
-	Shards int
 	// MaxBatch caps how many queued events a broker coalesces into one
 	// matching pass (default 64; 1 disables coalescing). Larger batches
-	// amortize per-event overhead and give the sharded engine more
-	// parallel work per pass, at the cost of burstier delivery.
+	// amortize per-event overhead, at the cost of burstier delivery.
 	MaxBatch int
 	// Seed makes subscription placement deterministic.
 	Seed uint64
@@ -145,36 +131,6 @@ type Options struct {
 	// the disabled path is a single atomic load per event.
 	Trace bool
 }
-
-// EngineKind selects a matching-engine implementation at brokers.
-type EngineKind int
-
-const (
-	// EngineNaive is the Figure 6 table: every filter evaluated against
-	// every event. The default.
-	EngineNaive EngineKind = iota
-	// EngineCounting is the counting index: matching cost scales with
-	// satisfied constraints instead of stored filters.
-	EngineCounting
-	// EngineSharded partitions subscriptions across shards (see
-	// Options.Shards) and matches them in parallel, merging results
-	// deterministically — per-subscriber delivery order is identical for
-	// any shard count.
-	EngineSharded
-	// EngineIndexed is the predicate-indexed counting engine: every
-	// operator class gets a dedicated index (hash postings for equality,
-	// grouped sorted threshold cores with churn-absorbing delta buffers
-	// for ordering, per-length postings for prefix/suffix, presence
-	// lists), and two-constraint access∧threshold filters collapse into
-	// paired groups consulted only on an access hit. Match cost tracks
-	// satisfied constraints, staying sub-microsecond at a million
-	// subscriptions.
-	EngineIndexed
-)
-
-// String returns the flag-friendly engine name ("naive", "counting",
-// "sharded", "indexed").
-func (k EngineKind) String() string { return index.Kind(k).String() }
 
 // FlowPolicy selects what a saturated queue does with new events — the
 // system-wide slow-consumer policy (see Options.FlowPolicy).
@@ -277,8 +233,6 @@ func New(opts Options) (*System, error) {
 		TTL:          opts.TTL,
 		AutoMaintain: opts.AutoMaintain,
 		Registry:     reg,
-		Engine:       index.Kind(opts.Engine),
-		Shards:       opts.Shards,
 		MaxBatch:     opts.MaxBatch,
 		FlowPolicy:   flow.Policy(opts.FlowPolicy),
 		FlowWindow:   opts.FlowWindow,

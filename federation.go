@@ -8,7 +8,6 @@ import (
 	"eventsys/internal/broker"
 	"eventsys/internal/filter"
 	"eventsys/internal/flow"
-	"eventsys/internal/index"
 	"eventsys/internal/obs"
 	"eventsys/internal/typing"
 )
@@ -70,10 +69,8 @@ type BrokerOptions struct {
 	Partitions int
 	// TTL is the subscription lease period; 0 disables expiry.
 	TTL time.Duration
-	// Engine, Shards and MaxBatch select the matching engine and the
-	// publish-batch ceiling, exactly as on the in-process Options.
-	Engine   EngineKind
-	Shards   int
+	// MaxBatch is the publish-batch ceiling, exactly as on the
+	// in-process Options.
 	MaxBatch int
 	// Seed drives subscription-placement randomness.
 	Seed uint64
@@ -164,8 +161,6 @@ func ServeBroker(opts BrokerOptions) (*Broker, error) {
 		ReplicaOf:         opts.ReplicaOf,
 		Partitions:        opts.Partitions,
 		TTL:               opts.TTL,
-		Engine:            index.Kind(opts.Engine),
-		Shards:            opts.Shards,
 		MaxBatch:          opts.MaxBatch,
 		Seed:              opts.Seed,
 		Logger:            opts.Logger,

@@ -13,141 +13,132 @@ import (
 // TestSystemIntegration drives one System with everything at once:
 // three event classes (two in a type hierarchy), typed and untyped
 // subscribers, wildcard subscriptions, a durable subscriber detaching
-// mid-stream, and both matching engines — cross-checked against direct
-// filter evaluation.
+// mid-stream — cross-checked against direct filter evaluation.
 func TestSystemIntegration(t *testing.T) {
-	for _, engine := range []EngineKind{EngineNaive, EngineCounting} {
-		t.Run(engine.String(), func(t *testing.T) {
-			sys := newSystem(t, Options{
-				Fanouts: []int{1, 3, 9},
-				Seed:    77,
-				Engine:  engine,
-			})
-			// Type hierarchy: TechStock <: Stock.
-			for _, reg := range [][2]string{{"Stock", ""}, {"TechStock", "Stock"}, {"Auction", ""}} {
-				if err := sys.RegisterType(reg[0], reg[1]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, ad := range [][]string{
-				{"Stock", "symbol", "price"},
-				{"TechStock", "symbol", "price"},
-				{"Auction", "product", "kind", "capacity", "price"},
-			} {
-				if err := sys.Advertise(ad[0], ad[1:]...); err != nil {
-					t.Fatal(err)
-				}
-			}
+	sys := newSystem(t, Options{Fanouts: []int{1, 3, 9}, Seed: 77})
+	// Type hierarchy: TechStock <: Stock.
+	for _, reg := range [][2]string{{"Stock", ""}, {"TechStock", "Stock"}, {"Auction", ""}} {
+		if err := sys.RegisterType(reg[0], reg[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ad := range [][]string{
+		{"Stock", "symbol", "price"},
+		{"TechStock", "symbol", "price"},
+		{"Auction", "product", "kind", "capacity", "price"},
+	} {
+		if err := sys.Advertise(ad[0], ad[1:]...); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-			// Subscriber population; each records delivered event IDs.
-			type subscriber struct {
-				text string
-				sub  *Subscription
-				seen map[uint64]int
-				mu   sync.Mutex
-			}
-			mkSub := func(id, text string, durable bool) *subscriber {
-				sc := &subscriber{text: text, seen: make(map[uint64]int)}
-				record := func(e *Event) {
-					sc.mu.Lock()
-					sc.seen[e.ID]++
-					sc.mu.Unlock()
-				}
-				var err error
-				if durable {
-					sc.sub, err = sys.SubscribeDurable(id, text, record)
-				} else {
-					sc.sub, err = sys.Subscribe(id, text, record)
-				}
-				if err != nil {
-					t.Fatalf("subscribe %s: %v", id, err)
-				}
-				return sc
-			}
-			subs := []*subscriber{
-				mkSub("exact", `class = "Stock" && symbol = "SYM01" && price < 50`, false),
-				mkSub("typebased", `class = "Stock"`, false), // matches TechStock too
-				mkSub("wildcard", `class = "Auction" && product = "Vehicle"`, false),
-				mkSub("range", `class = "Auction" && capacity < 2500 && price < 25000`, false),
-				mkSub("disjunct", `class = "TechStock" || class = "Auction" && kind = "Car"`, false),
-				mkSub("durable", `class = "Stock" && price < 30`, true),
-			}
+	// Subscriber population; each records delivered event IDs.
+	type subscriber struct {
+		text string
+		sub  *Subscription
+		seen map[uint64]int
+		mu   sync.Mutex
+	}
+	mkSub := func(id, text string, durable bool) *subscriber {
+		sc := &subscriber{text: text, seen: make(map[uint64]int)}
+		record := func(e *Event) {
+			sc.mu.Lock()
+			sc.seen[e.ID]++
+			sc.mu.Unlock()
+		}
+		var err error
+		if durable {
+			sc.sub, err = sys.SubscribeDurable(id, text, record)
+		} else {
+			sc.sub, err = sys.Subscribe(id, text, record)
+		}
+		if err != nil {
+			t.Fatalf("subscribe %s: %v", id, err)
+		}
+		return sc
+	}
+	subs := []*subscriber{
+		mkSub("exact", `class = "Stock" && symbol = "SYM01" && price < 50`, false),
+		mkSub("typebased", `class = "Stock"`, false), // matches TechStock too
+		mkSub("wildcard", `class = "Auction" && product = "Vehicle"`, false),
+		mkSub("range", `class = "Auction" && capacity < 2500 && price < 25000`, false),
+		mkSub("disjunct", `class = "TechStock" || class = "Auction" && kind = "Car"`, false),
+		mkSub("durable", `class = "Stock" && price < 30`, true),
+	}
 
-			// Publish a mixed stream; detach the durable subscriber for
-			// the middle third.
-			stocks, err := workload.NewStocks(7, workload.DefaultStocks())
-			if err != nil {
+	// Publish a mixed stream; detach the durable subscriber for
+	// the middle third.
+	stocks, err := workload.NewStocks(7, workload.DefaultStocks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	auctions, err := workload.NewAuctions(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(9, 10))
+	published := make([]*Event, 0, 600)
+	const total = 600
+	for i := 0; i < total; i++ {
+		if i == total/3 {
+			if err := subs[5].sub.Detach(); err != nil {
 				t.Fatal(err)
 			}
-			auctions, err := workload.NewAuctions(8)
-			if err != nil {
+		}
+		if i == 2*total/3 {
+			if err := subs[5].sub.Resume(func(e *Event) {
+				subs[5].mu.Lock()
+				subs[5].seen[e.ID]++
+				subs[5].mu.Unlock()
+			}); err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewPCG(9, 10))
-			published := make([]*Event, 0, 600)
-			const total = 600
-			for i := 0; i < total; i++ {
-				if i == total/3 {
-					if err := subs[5].sub.Detach(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if i == 2*total/3 {
-					if err := subs[5].sub.Resume(func(e *Event) {
-						subs[5].mu.Lock()
-						subs[5].seen[e.ID]++
-						subs[5].mu.Unlock()
-					}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				var e *Event
-				switch rng.IntN(3) {
-				case 0:
-					e = stocks.Event()
-				case 1:
-					e = stocks.Event()
-					e.Type = "TechStock"
-				default:
-					e = auctions.Event()
-				}
-				if err := sys.Publish(e); err != nil {
-					t.Fatal(err)
-				}
-				published = append(published, e)
-			}
-			sys.Flush()
+		}
+		var e *Event
+		switch rng.IntN(3) {
+		case 0:
+			e = stocks.Event()
+		case 1:
+			e = stocks.Event()
+			e.Type = "TechStock"
+		default:
+			e = auctions.Event()
+		}
+		if err := sys.Publish(e); err != nil {
+			t.Fatal(err)
+		}
+		published = append(published, e)
+	}
+	sys.Flush()
 
-			// Oracle: direct evaluation with subtype conformance.
-			conf := fakeHierarchy{"TechStock": "Stock"}
-			for _, sc := range subs {
-				parsed, err := filter.Parse(sc.text)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := 0
-				for _, e := range published {
-					if parsed.Matches(e, conf) {
-						want++
-					}
-				}
-				sc.mu.Lock()
-				got := len(sc.seen)
-				dups := 0
-				for _, n := range sc.seen {
-					if n > 1 {
-						dups++
-					}
-				}
-				sc.mu.Unlock()
-				if got != want {
-					t.Errorf("%s: delivered %d distinct events, oracle wants %d", sc.text, got, want)
-				}
-				if dups != 0 {
-					t.Errorf("%s: %d duplicated deliveries", sc.text, dups)
-				}
+	// Oracle: direct evaluation with subtype conformance.
+	conf := fakeHierarchy{"TechStock": "Stock"}
+	for _, sc := range subs {
+		parsed, err := filter.Parse(sc.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for _, e := range published {
+			if parsed.Matches(e, conf) {
+				want++
 			}
-		})
+		}
+		sc.mu.Lock()
+		got := len(sc.seen)
+		dups := 0
+		for _, n := range sc.seen {
+			if n > 1 {
+				dups++
+			}
+		}
+		sc.mu.Unlock()
+		if got != want {
+			t.Errorf("%s: delivered %d distinct events, oracle wants %d", sc.text, got, want)
+		}
+		if dups != 0 {
+			t.Errorf("%s: %d duplicated deliveries", sc.text, dups)
+		}
 	}
 }
 

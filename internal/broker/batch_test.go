@@ -7,17 +7,14 @@ import (
 
 	"eventsys/internal/event"
 	"eventsys/internal/filter"
-	"eventsys/internal/index"
 )
 
-// startShardedCluster spins a root plus leaves running the sharded
-// engine with a small MaxBatch, so wire-level batches and core
-// coalescing both occur.
-func startShardedCluster(t *testing.T, leafs int) *cluster {
+// startBatchCluster spins a root plus leaves with a small MaxBatch, so
+// wire-level batches and core coalescing both occur.
+func startBatchCluster(t *testing.T, leafs int) *cluster {
 	t.Helper()
 	root, err := Serve(ServerConfig{
-		ID: "root", Stage: 2, ListenAddr: "127.0.0.1:0", Seed: 1,
-		Engine: index.KindSharded, Shards: 4, MaxBatch: 8,
+		ID: "root", Stage: 2, ListenAddr: "127.0.0.1:0", Seed: 1, MaxBatch: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,8 +29,7 @@ func startShardedCluster(t *testing.T, leafs int) *cluster {
 	for i := 0; i < leafs; i++ {
 		leaf, err := Serve(ServerConfig{
 			ID: fmt.Sprintf("N1.%d", i+1), Stage: 1, ListenAddr: "127.0.0.1:0",
-			ParentAddr: root.Addr(), Seed: uint64(i + 2),
-			Engine: index.KindSharded, Shards: 2, MaxBatch: 8,
+			ParentAddr: root.Addr(), Seed: uint64(i + 2), MaxBatch: 8,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -46,9 +42,9 @@ func startShardedCluster(t *testing.T, leafs int) *cluster {
 
 // TestPublishBatchFrame publishes through the batched wire frame and
 // checks every event arrives exactly once, in publish order, through a
-// sharded-engine hierarchy.
+// two-stage hierarchy.
 func TestPublishBatchFrame(t *testing.T) {
-	cl := startShardedCluster(t, 2)
+	cl := startBatchCluster(t, 2)
 	pub, err := DialPublisher(cl.root.Addr(), "p")
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +120,7 @@ func TestBatchStoreSpill(t *testing.T) {
 	dir := t.TempDir()
 	root, err := Serve(ServerConfig{
 		ID: "root", Stage: 1, ListenAddr: "127.0.0.1:0", Seed: 1,
-		Engine: index.KindSharded, MaxBatch: 8, DataDir: dir, SyncEvery: -1,
+		MaxBatch: 8, DataDir: dir, SyncEvery: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

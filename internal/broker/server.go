@@ -78,12 +78,9 @@ type ServerConfig struct {
 	TTL time.Duration
 	// Registry resolves type conformance; nil = exact names.
 	Registry *typing.Registry
-	// Engine selects the matching engine (naive, counting, sharded, or indexed).
-	// The zero value is the naive Figure 6 table.
+	// Engine selects the matching engine. The zero value is the indexed
+	// table; the naive Figure 6 table is a reference for tests.
 	Engine index.Kind
-	// Shards is the shard count of the sharded engine (Engine ==
-	// index.KindSharded); 0 means GOMAXPROCS.
-	Shards int
 	// MaxBatch caps how many queued publish events the core coalesces
 	// into one matching pass (default 64; 1 disables coalescing).
 	MaxBatch int
@@ -562,7 +559,6 @@ func Serve(cfg ServerConfig) (*Server, error) {
 	if cfg.Registry != nil {
 		conf = cfg.Registry
 	}
-	engine := cfg.Engine
 	s.counters = &metrics.Counters{}
 	s.tracer = obs.NewTracer()
 	s.tracer.Enable(cfg.Trace)
@@ -578,10 +574,7 @@ func Serve(cfg ServerConfig) (*Server, error) {
 		Conf:     conf,
 		Weakener: weaken.New(s.ads, conf),
 		Counters: s.counters,
-		Engine: index.Config{
-			Kind: engine, Conf: conf, Shards: cfg.Shards,
-			Warn: func(msg string) { s.log.Warn(msg) },
-		},
+		Engine:   index.Config{Kind: cfg.Engine, Conf: conf},
 	})
 	s.fed = peering.New(peering.Config{
 		Conformance: conf,
@@ -756,11 +749,6 @@ func (s *Server) registerObs(reg *obs.Registry) {
 				"Whether the spanning-tree election selected the link to carry traffic.",
 				active, l...)
 		}
-		for i, n := range s.ShardLoads() {
-			w.Gauge("eventsys_engine_shard_subscriptions",
-				"Live subscriptions held by each matching-engine shard.",
-				float64(n), "node", s.cfg.ID, "shard", fmt.Sprint(i))
-		}
 		shape := shapeSnap()
 		for _, path := range []struct {
 			name string
@@ -806,7 +794,6 @@ func (s *Server) status(peers []PeerLinkStats, shape index.Shape) map[string]any
 		"stage":       s.cfg.Stage,
 		"addr":        s.Addr(),
 		"stats":       s.Stats(),
-		"shardLoads":  s.ShardLoads(),
 		"engineShape": shape,
 		"flow":        s.FlowStats(),
 		"conns":       s.ConnStats(),
@@ -825,13 +812,6 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Stats snapshots the broker's counters.
 func (s *Server) Stats() metrics.NodeStats {
 	return s.counters.Stats(s.cfg.ID, s.cfg.Stage)
-}
-
-// ShardLoads reports per-shard live-subscription counts when the broker
-// runs a sharded matching engine, nil otherwise. Safe to call from any
-// goroutine: it bypasses the core and locks each shard briefly.
-func (s *Server) ShardLoads() []int {
-	return s.node.Table().ShardLoads()
 }
 
 // EngineShape reports how the stored filters map onto the matching

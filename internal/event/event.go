@@ -59,7 +59,7 @@ type Event struct {
 
 	// idx is the lazily-built attribute index for wide events, published
 	// atomically so concurrent Lookup calls (events are shared across
-	// subscribers and matching shards) stay race-free. Set invalidates
+	// subscribers and brokers) stay race-free. Set invalidates
 	// it; Clone and Project drop it.
 	idx atomic.Pointer[map[string]int]
 	// raw is the at-most-once encoded form (see Raw): the spill and wire
@@ -139,7 +139,7 @@ const lookupIndexMin = 8
 // Lookup returns the value of the named attribute. The reserved TypeAttr
 // name resolves to the event type as a string value. Wide events index
 // their attributes lazily, once, and the index is published atomically —
-// an event shared by many subscribers or matching shards is looked up
+// an event shared by many subscribers or brokers is looked up
 // concurrently without races.
 func (e *Event) Lookup(name string) (Value, bool) {
 	if name == TypeAttr {

@@ -18,8 +18,8 @@ import (
 // A Raw is immutable after construction; its byte slice is shared, never
 // copied, and must not be mutated by the owner of the backing buffer.
 // The lazy caches (attribute index, materialized event) build at most
-// once via atomic publication, so concurrent readers — sharded matching,
-// multiple local subscribers — are safe without locks.
+// once via atomic publication, so concurrent readers — brokers and local
+// subscribers sharing one event — are safe without locks.
 type Raw struct {
 	b     []byte
 	class string
@@ -266,8 +266,8 @@ func (r *Raw) Payload() []byte {
 // wire bytes; TypeAttr resolves to the class. Wide events build an
 // attribute index on first use (lookupIndexMin, shared with *Event) and
 // reuse it across all filter evaluations of the event; the index is
-// published atomically, so concurrent matchers (sharded engines,
-// parallel subscribers) are safe.
+// published atomically, so concurrent readers (brokers and parallel
+// subscribers sharing the event) are safe.
 func (r *Raw) Lookup(name string) (Value, bool) {
 	if name == TypeAttr {
 		return String(r.class), true

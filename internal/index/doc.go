@@ -2,40 +2,29 @@
 // broker nodes — the filtering data structures behind the paper's
 // Section 4 filtering and forwarding tables.
 //
-// Four engines implement the Engine interface:
+// Two engines implement the Engine interface:
 //
-//   - NaiveTable is the algorithm of Figure 6: a table of <filter,
-//     id-list> entries scanned linearly per event.
-//   - CountingTable implements the classic counting algorithm the paper
-//     alludes to ("efficient indexing and matching techniques can be
-//     used"): per-attribute inverted indexes with hash lookup for
-//     equality constraints, so matching cost scales with the number of
-//     satisfied constraints instead of the number of filters.
-//   - IndexedTable extends the counting scheme with a dedicated index
-//     per operator class — grouped sorted threshold cores with
+//   - IndexedTable is the engine every runtime builds. It applies the
+//     "efficient indexing and matching techniques" the paper allows: the
+//     counting algorithm with a dedicated index per operator class —
+//     hash postings for equality, grouped sorted threshold cores with
 //     churn-absorbing delta buffers for ordering constraints,
 //     per-operand-length hash postings for prefix/suffix, presence
 //     lists, and paired access∧threshold groups for the dominant
 //     two-constraint alarm shape — keeping per-event match cost near
 //     constant (sub-microsecond medians) at million-subscription
 //     populations.
-//   - ShardedEngine partitions associations across N shards by
-//     subscription-ID hash and matches shards in parallel, merging
-//     results deterministically; Config.Shards composes it with any
-//     inner kind for multi-core brokers.
+//   - NaiveTable is the algorithm of Figure 6: a table of <filter,
+//     id-list> entries scanned linearly per event. It is the reference
+//     the indexed engine is fuzzed, tested and measured against.
 //
-// Engine selection is explicit: construct through New with a Config
-// naming the Kind (the zero Config selects the naive table), so runtimes
-// share one selection path instead of duplicating engine-picking logic.
+// Construct an engine through New; the zero Config selects the indexed
+// table, so runtimes share one selection path.
 //
-// Concurrency and ownership: NaiveTable, CountingTable and IndexedTable
-// are NOT safe for concurrent use — each instance is owned by exactly
-// one goroutine (the broker core or actor that created it), and the
-// counting engines additionally mutate per-call scratch state during
-// Match. ShardedEngine
-// IS safe for concurrent use: every shard carries its own mutex, mutating
-// calls lock only the owning shard, and Match/MatchBatch lock each shard
-// from its own worker goroutine. All engines return Match results sorted
-// and deduplicated, so identical inputs yield identical outputs
-// regardless of engine kind or shard count.
+// Concurrency and ownership: neither engine is safe for concurrent use.
+// Each instance is owned by exactly one goroutine (the broker core or
+// actor that created it), and the indexed engine mutates per-call
+// scratch state during Match. Both return Match results sorted and
+// deduplicated, so identical inputs yield identical outputs whichever
+// engine matches them.
 package index

@@ -9,9 +9,9 @@ import (
 	"eventsys/internal/filter"
 )
 
-// FuzzEngineEquivalence drives all four engine kinds (and the indexed
-// engine behind the sharded wrapper) with the same byte-derived script of inserts, removes, whole-ID removes and match
-// probes; every probe must yield identical ID sets, and the naive result
+// FuzzEngineEquivalence drives the indexed engine and the naive table
+// with the same byte-derived script of inserts, removes, whole-ID
+// removes and match probes; every probe must yield identical ID sets, and the naive result
 // must agree with direct filter evaluation. The script bytes decode to a
 // small op stream, so the fuzzer can reach delta merges, tombstone
 // purges, NaN values and prefix/suffix collisions.
@@ -56,12 +56,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fz := fuzzScript{data: data}
 		naive := NewNaiveTable(nil)
-		others := map[string]Engine{
-			"counting":        NewCountingTable(nil),
-			"indexed":         NewIndexedTable(nil),
-			"sharded":         NewSharded(nil, 2),
-			"sharded-indexed": New(Config{Kind: KindIndexed, Shards: 2}),
-		}
+		indexed := NewIndexedTable(nil)
 		type assoc struct {
 			f  *filter.Filter
 			id string
@@ -73,9 +68,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 				flt := fz.filter()
 				id := fmt.Sprintf("id%d", fz.byte()%8)
 				naive.Insert(flt, id)
-				for _, eng := range others {
-					eng.Insert(flt, id)
-				}
+				indexed.Insert(flt, id)
 				live = append(live, assoc{flt, id})
 			case 4:
 				if len(live) == 0 {
@@ -83,16 +76,12 @@ func FuzzEngineEquivalence(f *testing.F) {
 				}
 				i := int(fz.byte()) % len(live)
 				naive.Remove(live[i].f, live[i].id)
-				for _, eng := range others {
-					eng.Remove(live[i].f, live[i].id)
-				}
+				indexed.Remove(live[i].f, live[i].id)
 				live = append(live[:i], live[i+1:]...)
 			case 5:
 				id := fmt.Sprintf("id%d", fz.byte()%8)
 				naive.RemoveID(id)
-				for _, eng := range others {
-					eng.RemoveID(id)
-				}
+				indexed.RemoveID(id)
 				kept := live[:0]
 				for _, a := range live {
 					if a.id != id {
@@ -112,15 +101,12 @@ func FuzzEngineEquivalence(f *testing.F) {
 				if nm != want {
 					t.Fatalf("step %d: naive matched=%d, direct evaluation=%d on %s", step, nm, want, e)
 				}
-				for name, eng := range others {
-					ids, _ := eng.Match(e)
-					if fmt.Sprint(ids) != fmt.Sprint(nids) {
-						t.Fatalf("step %d: %s diverges on %s:\n naive %v\n %s %v",
-							step, name, e, nids, name, ids)
-					}
-					if eng.Len() != naive.Len() {
-						t.Fatalf("step %d: Len diverged naive=%d %s=%d", step, naive.Len(), name, eng.Len())
-					}
+				ids, _ := indexed.Match(e)
+				if fmt.Sprint(ids) != fmt.Sprint(nids) {
+					t.Fatalf("step %d: indexed diverges on %s:\n naive %v\n indexed %v", step, e, nids, ids)
+				}
+				if indexed.Len() != naive.Len() {
+					t.Fatalf("step %d: Len diverged naive=%d indexed=%d", step, naive.Len(), indexed.Len())
 				}
 			}
 		}

@@ -4,24 +4,31 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"strings"
 	"testing"
 
 	"eventsys/internal/event"
 	"eventsys/internal/filter"
 )
 
-// engines returns fresh instances of every Engine implementation,
-// including a sharded wrapper per inner kind (the generic engine tests
-// must hold for any shard count).
+// engines returns a fresh instance of each Engine implementation.
 func engines(conf filter.Conformance) map[string]Engine {
 	return map[string]Engine{
-		"naive":           NewNaiveTable(conf),
-		"counting":        NewCountingTable(conf),
-		"indexed":         NewIndexedTable(conf),
-		"sharded":         NewSharded(conf, 4),
-		"sharded-indexed": New(Config{Kind: KindIndexed, Conf: conf, Shards: 4}),
-		"sharded-naive":   New(Config{Kind: KindNaive, Conf: conf, Shards: 2}),
+		"naive":   NewNaiveTable(conf),
+		"indexed": NewIndexedTable(conf),
+	}
+}
+
+// TestKindSelection covers the engine constructor: the zero Config builds
+// the indexed table, KindNaive the reference table.
+func TestKindSelection(t *testing.T) {
+	if _, ok := New(Config{}).(*IndexedTable); !ok {
+		t.Error("zero Config should select the indexed table")
+	}
+	if _, ok := New(Config{Kind: KindNaive}).(*NaiveTable); !ok {
+		t.Error("KindNaive should select the naive table")
+	}
+	if KindIndexed.String() != "indexed" || KindNaive.String() != "naive" {
+		t.Errorf("Kind names = %q, %q", KindIndexed, KindNaive)
 	}
 }
 
@@ -71,9 +78,7 @@ func TestEngineMultiIDAndDedup(t *testing.T) {
 			if fmt.Sprint(ids) != "[a b]" {
 				t.Errorf("Match = %v, want [a b]", ids)
 			}
-			// Sharded engines count a filter once per shard holding one
-			// of its IDs; single-table engines count it exactly once.
-			if sharded := strings.HasPrefix(name, "sharded"); matched < 1 || (!sharded && matched != 1) {
+			if matched != 1 {
 				t.Errorf("matched = %d, want 1", matched)
 			}
 		})
@@ -131,7 +136,7 @@ func TestEngineRemoveID(t *testing.T) {
 }
 
 func TestEngineReinsertAfterRemove(t *testing.T) {
-	// Exercises slot recycling in the counting table.
+	// Exercises slot recycling in the indexed table.
 	for name, eng := range engines(nil) {
 		t.Run(name, func(t *testing.T) {
 			f1 := filter.MustParseFilter(`x = 1`)
@@ -219,18 +224,14 @@ func TestEngineDuplicateEqConstraint(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeProperty cross-validates every engine kind against
-// direct filter evaluation on random workloads, including inserts,
-// per-association removes, and whole-ID removes (which exercise the
-// indexed engine's tombstone/rebuild lifecycle).
+// TestEnginesAgreeProperty cross-validates the indexed engine against the
+// naive table and direct filter evaluation on random workloads,
+// including inserts, per-association removes, and whole-ID removes
+// (which exercise the indexed engine's tombstone/rebuild lifecycle).
 func TestEnginesAgreeProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 43))
 	naive := NewNaiveTable(nil)
-	others := map[string]Engine{
-		"counting": NewCountingTable(nil),
-		"indexed":  NewIndexedTable(nil),
-		"sharded":  NewSharded(nil, 3),
-	}
+	indexed := NewIndexedTable(nil)
 	type assoc struct {
 		f  *filter.Filter
 		id string
@@ -242,23 +243,17 @@ func TestEnginesAgreeProperty(t *testing.T) {
 			f := randomIdxFilter(rng)
 			id := fmt.Sprintf("id%d", rng.IntN(10))
 			naive.Insert(f, id)
-			for _, eng := range others {
-				eng.Insert(f, id)
-			}
+			indexed.Insert(f, id)
 			live = append(live, assoc{f, id})
 		case r < 9:
 			i := rng.IntN(len(live))
 			naive.Remove(live[i].f, live[i].id)
-			for _, eng := range others {
-				eng.Remove(live[i].f, live[i].id)
-			}
+			indexed.Remove(live[i].f, live[i].id)
 			live = append(live[:i], live[i+1:]...)
 		default:
 			id := fmt.Sprintf("id%d", rng.IntN(10))
 			naive.RemoveID(id)
-			for _, eng := range others {
-				eng.RemoveID(id)
-			}
+			indexed.RemoveID(id)
 			kept := live[:0]
 			for _, a := range live {
 				if a.id != id {
@@ -269,20 +264,15 @@ func TestEnginesAgreeProperty(t *testing.T) {
 		}
 		e := randomIdxEvent(rng)
 		nids, nm := naive.Match(e)
-		for name, eng := range others {
-			if eng.Len() != naive.Len() {
-				t.Fatalf("round %d: Len diverged naive=%d %s=%d", round, naive.Len(), name, eng.Len())
-			}
-			ids, m := eng.Match(e)
-			if fmt.Sprint(nids) != fmt.Sprint(ids) {
-				t.Fatalf("round %d: engines diverge on %s:\n naive %v (%d)\n %s %v (%d)",
-					round, e, nids, nm, name, ids, m)
-			}
-			// The sharded engine's matched count legitimately differs
-			// (per-shard sums); for single-table engines it must agree.
-			if name != "sharded" && m != nm {
-				t.Fatalf("round %d: matched count diverged naive=%d %s=%d", round, nm, name, m)
-			}
+		if indexed.Len() != naive.Len() {
+			t.Fatalf("round %d: Len diverged naive=%d indexed=%d", round, naive.Len(), indexed.Len())
+		}
+		ids, m := indexed.Match(e)
+		if fmt.Sprint(nids) != fmt.Sprint(ids) {
+			t.Fatalf("round %d: engines diverge on %s:\n naive %v (%d)\n indexed %v (%d)", round, e, nids, nm, ids, m)
+		}
+		if m != nm {
+			t.Fatalf("round %d: matched count diverged naive=%d indexed=%d", round, nm, m)
 		}
 		// Spot-check against direct evaluation.
 		want := 0

@@ -11,10 +11,10 @@ import (
 )
 
 // IndexedTable is the predicate-indexed counting engine (KindIndexed): it
-// keeps the counting scheme of CountingTable — each filter occupies a
-// slot with a satisfied-constraint counter, stamped scratch state, and
-// tombstoned removal — but replaces the per-attribute linear scan lists
-// with real per-operator index structures, so matching cost tracks the
+// keeps the classic counting scheme — each filter occupies a slot with a
+// satisfied-constraint counter, stamped scratch state, and tombstoned
+// removal — but replaces per-attribute linear scan lists with real
+// per-operator index structures, so matching cost tracks the
 // number of *satisfied* constraints for every predicate class the filter
 // language offers, not just equality:
 //
@@ -65,11 +65,10 @@ import (
 // accumulates to amortize a rebuild. A tombstoned slot is recycled only
 // after its last threshold entry is purged, so stale core entries can
 // never bump a reused slot. Everything else (hash postings, presence and
-// scan lists) is cleaned eagerly on removal, exactly like CountingTable.
+// scan lists) is cleaned eagerly on removal.
 //
-// Like the other single-threaded engines, an IndexedTable is owned by
-// one goroutine; wrap it in shards (Config{Kind: KindIndexed, Shards: N})
-// for concurrent use.
+// An IndexedTable is not safe for concurrent use: it is owned by one
+// goroutine.
 type IndexedTable struct {
 	conf  filter.Conformance
 	slots []indexedSlot
@@ -228,6 +227,15 @@ func (si *strIndex) dropLen(l int) {
 	if i < len(si.lens) && si.lens[i].l == l && len(si.lens[i].m) == 0 {
 		si.lens = append(si.lens[:i], si.lens[i+1:]...)
 	}
+}
+
+// slotCount is one posting entry: a slot plus the constraint
+// multiplicity it earns per hit. int32 keeps the entry at 8 bytes —
+// posting walks are bandwidth-bound at large populations, and 2^31
+// slots is far beyond what a single table addresses.
+type slotCount struct {
+	slot int32
+	n    int32
 }
 
 // postings is the payload behind one access predicate (one eq value, one
@@ -1324,6 +1332,18 @@ func (t *IndexedTable) collect(e event.View, slot int, ids []string, matched int
 		ids = append(ids, id)
 	}
 	return ids, matched + 1
+}
+
+// classOK reports whether e's class conforms to f's (the class is not
+// counted: it is checked once a slot's constraints all held).
+func classOK(f *filter.Filter, e event.View, conf filter.Conformance) bool {
+	if f.Class == "" || f.Class == filter.RootType {
+		return true
+	}
+	if conf == nil {
+		conf = filter.ExactTypes{}
+	}
+	return conf.Conforms(e.Class(), f.Class)
 }
 
 // Filters implements Engine.

@@ -351,7 +351,7 @@ func TestIndexedPairGroups(t *testing.T) {
 // remainder is paired or a single threshold again), an event lacking a
 // wildcarded attribute is still rejected, presence-only filters keep the
 // counted path, and removal recycles such slots without stale credits —
-// on the bare table and behind the sharded wrapper.
+// whether the filter is removed by itself or with its whole ID.
 func TestIndexedPresenceVerified(t *testing.T) {
 	num := func(attr string, op filter.Op, v float64) filter.Constraint {
 		return filter.C(attr, op, event.Float(v))
@@ -440,7 +440,7 @@ func TestIndexedPresenceVerified(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := filter.New("Alert", tc.cs...)
 			it := NewIndexedTable(nil)
-			engines := map[string]Engine{"indexed": it, "sharded": New(Config{Kind: KindIndexed, Shards: 2})}
+			engines := map[string]Engine{"by-filter": it, "by-id": NewIndexedTable(nil)}
 			check := func(eng Engine, name string, stored bool) {
 				t.Helper()
 				for i, e := range append(append([]*event.Event{}, tc.hit...), tc.miss...) {
@@ -462,7 +462,7 @@ func TestIndexedPresenceVerified(t *testing.T) {
 			}
 			// Removal by filter on one engine, by ID on the other.
 			it.Remove(f, "s")
-			engines["sharded"].RemoveID("s")
+			engines["by-id"].RemoveID("s")
 			for name, eng := range engines {
 				if got := ShapeOf(eng); eng.Len() != 0 || got != (Shape{}) {
 					t.Errorf("%s after removal: Len = %d, Shape = %+v", name, eng.Len(), got)

@@ -1,8 +1,6 @@
 package index
 
 import (
-	"fmt"
-
 	"eventsys/internal/event"
 	"eventsys/internal/filter"
 )
@@ -11,95 +9,43 @@ import (
 type Kind int
 
 const (
-	// KindNaive selects the Figure 6 table: every filter evaluated
-	// against every event. The default.
-	KindNaive Kind = iota
-	// KindCounting selects the counting index: matching cost scales with
-	// satisfied constraints instead of stored filters.
-	KindCounting
-	// KindSharded selects the sharded parallel engine: counting shards
-	// partitioned by subscription ID, matched concurrently.
-	KindSharded
 	// KindIndexed selects the predicate-indexed counting engine: sorted
 	// threshold arrays, prefix/suffix postings and presence lists keep
 	// matching logarithmic for the expressive (non-equality) predicates
-	// too.
-	KindIndexed
+	// too. The default, and the only engine a runtime builds.
+	KindIndexed Kind = iota
+	// KindNaive selects the Figure 6 table: every filter evaluated
+	// against every event. The reference the indexed engine is tested
+	// and measured against.
+	KindNaive
 )
 
-// String returns the flag-friendly engine name.
+// String returns the engine name.
 func (k Kind) String() string {
-	switch k {
-	case KindCounting:
-		return "counting"
-	case KindSharded:
-		return "sharded"
-	case KindIndexed:
-		return "indexed"
-	default:
+	if k == KindNaive {
 		return "naive"
 	}
-}
-
-// ParseKind maps a flag value ("naive", "counting", "sharded",
-// "indexed") to a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "naive", "":
-		return KindNaive, nil
-	case "counting":
-		return KindCounting, nil
-	case "sharded":
-		return KindSharded, nil
-	case "indexed":
-		return KindIndexed, nil
-	default:
-		return 0, fmt.Errorf("index: unknown engine %q (want naive, counting, sharded, or indexed)", s)
-	}
+	return "indexed"
 }
 
 // Config selects and parameterizes a matching engine. The zero value
-// explicitly selects the naive table with exact type matching — there is
-// no nil fallback; every runtime states its engine choice through New.
+// selects the indexed table with exact type matching.
 type Config struct {
 	// Kind picks the engine implementation.
 	Kind Kind
 	// Conf resolves event class conformance (type-based subscribing);
 	// nil means exact type names.
 	Conf filter.Conformance
-	// Shards is a modifier composable with Kind: any value above 1
-	// partitions the selected engine into that many concurrently
-	// matched shards (shards of counting tables, indexed tables, even
-	// naive tables). For KindSharded — whose single-kind meaning is
-	// "sharded counting" — 0 means GOMAXPROCS; for every other kind 0
-	// and 1 select the unsharded engine.
-	Shards int
-	// Warn, when non-nil and the engine is sharded, receives the
-	// rate-limited shard-skew diagnostic (ShardedEngine.SetWarn).
-	// Ignored by unsharded engines.
-	Warn func(msg string)
 }
 
 // New constructs the engine cfg selects. This is the single engine
 // selection point shared by the overlay, the networked broker and the
 // simulator.
 func New(cfg Config) Engine {
-	inner := func() Engine {
-		switch cfg.Kind {
-		case KindCounting, KindSharded:
-			return NewCountingTable(cfg.Conf)
-		case KindIndexed:
-			return NewIndexedTable(cfg.Conf)
-		default:
-			return NewNaiveTable(cfg.Conf)
-		}
+	if cfg.Kind == KindNaive {
+		return NewNaiveTable(cfg.Conf)
 	}
-	if cfg.Kind == KindSharded || cfg.Shards > 1 {
-		se := NewShardedEngine(cfg.Shards, inner)
-		se.SetWarn(cfg.Warn)
-		return se
-	}
-	return inner()
+	return NewIndexedTable(cfg.Conf)
 }
 
 // MatchResult is one event's matching outcome: the associated IDs (sorted
@@ -109,20 +55,9 @@ type MatchResult struct {
 	Matched int
 }
 
-// BatchMatcher is implemented by engines with a native batch path that
-// amortizes per-call overhead (and, for ShardedEngine, matches the whole
-// batch across shards in parallel).
-type BatchMatcher interface {
-	MatchBatch(events []event.View) []MatchResult
-}
-
-// MatchEach matches a batch of events through eng, using its native batch
-// path when it has one and falling back to per-event Match otherwise.
+// MatchEach matches a batch of events through eng, one Match per event.
 // Results are positionally aligned with events.
 func MatchEach(eng Engine, events []event.View) []MatchResult {
-	if bm, ok := eng.(BatchMatcher); ok {
-		return bm.MatchBatch(events)
-	}
 	out := make([]MatchResult, len(events))
 	for i, e := range events {
 		out[i].IDs, out[i].Matched = eng.Match(e)

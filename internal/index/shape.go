@@ -14,7 +14,7 @@ type Shape struct {
 	General   int `json:"general"`   // counted constraint by constraint
 	ClassOnly int `json:"classOnly"` // no constraints: collected for every event
 	Oversize  int `json:"oversize"`  // beyond the counting range: evaluated directly for every event
-	Unindexed int `json:"unindexed"` // held by an engine without predicate indexes (naive, counting)
+	Unindexed int `json:"unindexed"` // held by the naive reference table, which has no predicate indexes
 	// Deferred counts the live filters (paired or general) whose
 	// presence constraints are verified at hit time instead of counted.
 	Deferred int `json:"deferredPresence"`
@@ -53,25 +53,4 @@ func ShapeOf(eng Engine) Shape {
 		return s.Shape()
 	}
 	return Shape{Unindexed: eng.Len()}
-}
-
-// Shape sums the shards' shapes (PresenceMax: the longest posting in any
-// one shard, since shards match independently). A filter held by IDs in
-// k shards counts k times, like Match's matched count.
-func (t *ShardedEngine) Shape() Shape {
-	var sum Shape
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		s := ShapeOf(sh.eng)
-		sh.mu.Unlock()
-		sum.Paired += s.Paired
-		sum.General += s.General
-		sum.ClassOnly += s.ClassOnly
-		sum.Oversize += s.Oversize
-		sum.Unindexed += s.Unindexed
-		sum.Deferred += s.Deferred
-		sum.ScanEntries += s.ScanEntries
-		sum.PresenceMax = max(sum.PresenceMax, s.PresenceMax)
-	}
-	return sum
 }

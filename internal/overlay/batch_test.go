@@ -7,34 +7,15 @@ import (
 
 	"eventsys/internal/event"
 	"eventsys/internal/filter"
-	"eventsys/internal/index"
 )
 
 // TestBatchedDeliveryOrder verifies the batched pipeline's core
-// invariant: per-subscriber delivery order equals publish order, for
-// every engine kind and shard count, with coalescing forced by a tiny
-// MaxBatch-to-inbox ratio.
+// invariant: per-subscriber delivery order equals publish order, with
+// coalescing forced by a tiny MaxBatch-to-inbox ratio.
 func TestBatchedDeliveryOrder(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		engine index.Kind
-		shards int
-		batch  int
-	}{
-		{"naive-batch8", index.KindNaive, 0, 8},
-		{"counting-batch64", index.KindCounting, 0, 64},
-		{"sharded-1", index.KindSharded, 1, 16},
-		{"sharded-2", index.KindSharded, 2, 16},
-		{"sharded-8", index.KindSharded, 8, 16},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sys, err := New(Config{
-				Fanouts:  []int{1, 2, 4},
-				Seed:     42,
-				Engine:   tc.engine,
-				Shards:   tc.shards,
-				MaxBatch: tc.batch,
-			})
+	for _, batch := range []int{8, 64} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+			sys, err := New(Config{Fanouts: []int{1, 2, 4}, Seed: 42, MaxBatch: batch})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,19 +80,13 @@ func TestBatchedDeliveryOrder(t *testing.T) {
 	}
 }
 
-// TestBatchedDeliveryIdenticalAcrossShards publishes one deterministic
-// stream per configuration and asserts the full per-subscriber delivery
-// sequences are byte-identical for 1, 2 and 8 shards — the acceptance
-// contract of the deterministic merge.
-func TestBatchedDeliveryIdenticalAcrossShards(t *testing.T) {
-	run := func(shards int) map[string][]uint64 {
-		sys, err := New(Config{
-			Fanouts:  []int{1, 4},
-			Seed:     7,
-			Engine:   index.KindSharded,
-			Shards:   shards,
-			MaxBatch: 16,
-		})
+// TestBatchedDeliveryIdenticalAcrossBatchSizes publishes one
+// deterministic stream per configuration and asserts the full
+// per-subscriber delivery sequences are identical whether brokers match
+// one event at a time or coalesce up to 16 or 64.
+func TestBatchedDeliveryIdenticalAcrossBatchSizes(t *testing.T) {
+	run := func(batch int) map[string][]uint64 {
+		sys, err := New(Config{Fanouts: []int{1, 4}, Seed: 7, MaxBatch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,19 +117,19 @@ func TestBatchedDeliveryIdenticalAcrossShards(t *testing.T) {
 		return got
 	}
 	want := run(1)
-	for _, shards := range []int{2, 8} {
-		got := run(shards)
+	for _, batch := range []int{16, 64} {
+		got := run(batch)
 		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d subscribers delivered, want %d", shards, len(got), len(want))
+			t.Fatalf("batch=%d: %d subscribers delivered, want %d", batch, len(got), len(want))
 		}
 		for id, seq := range want {
 			other := got[id]
 			if len(other) != len(seq) {
-				t.Fatalf("shards=%d %s: %d events, want %d", shards, id, len(other), len(seq))
+				t.Fatalf("batch=%d %s: %d events, want %d", batch, id, len(other), len(seq))
 			}
 			for j := range seq {
 				if other[j] != seq[j] {
-					t.Fatalf("shards=%d %s: event %d = %d, want %d", shards, id, j, other[j], seq[j])
+					t.Fatalf("batch=%d %s: event %d = %d, want %d", batch, id, j, other[j], seq[j])
 				}
 			}
 		}

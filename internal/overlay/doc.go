@@ -21,8 +21,7 @@
 //   - Per-subscriber delivery order equals publish order: batches
 //     preserve mailbox order, per-destination grouping preserves
 //     intra-batch order, and each subscriber's buffered channel is
-//     drained by one dedicated goroutine. This holds for every engine
-//     kind and shard count.
+//     drained by one dedicated goroutine.
 //   - Inter-node sends abort on the system context, making shutdown
 //     deadlock-free. Saturation follows Config.FlowPolicy at every
 //     bounded queue (mailboxes, delivery queues): under flow.Block a

@@ -9,7 +9,6 @@ import (
 
 	"eventsys/internal/event"
 	"eventsys/internal/filter"
-	"eventsys/internal/index"
 	"eventsys/internal/typing"
 	"eventsys/internal/workload"
 )
@@ -402,8 +401,10 @@ func TestAutoMaintainLoop(t *testing.T) {
 	}
 }
 
-func TestCountingEngineOverlay(t *testing.T) {
-	sys := newStockSystem(t, Config{Seed: 13, Engine: index.KindCounting})
+// TestDefaultEngineIsIndexed: a zero Config builds brokers that store
+// their filters in the indexed table, not the naive reference table.
+func TestDefaultEngineIsIndexed(t *testing.T) {
+	sys := newStockSystem(t, Config{Seed: 13})
 	var count atomic.Uint64
 	_, err := sys.Subscribe("s1",
 		filter.Subscription{filter.MustParseFilter(`class = "Stock" && symbol = "A" && price < 5`)},
@@ -416,5 +417,17 @@ func TestCountingEngineOverlay(t *testing.T) {
 	sys.Flush()
 	if count.Load() != 1 {
 		t.Errorf("delivered %d, want 1", count.Load())
+	}
+	// Flush left every actor idle, so reading its table is safe.
+	stored := 0
+	for id, a := range sys.actors {
+		shape := a.node.Table().EngineShape()
+		if shape.Unindexed != 0 {
+			t.Errorf("broker %s holds %d filters in an unindexed engine", id, shape.Unindexed)
+		}
+		stored += shape.Paired + shape.General + shape.ClassOnly + shape.Oversize
+	}
+	if stored == 0 {
+		t.Error("no broker stored the subscription")
 	}
 }

@@ -34,16 +34,9 @@ type Config struct {
 	// Registry resolves event type conformance (type-based subscribing);
 	// nil means exact type names.
 	Registry *typing.Registry
-	// Engine selects the matching engine at brokers (naive, counting,
-	// sharded, or indexed). The zero value is the naive Figure 6 table.
-	Engine index.Kind
-	// Shards is the shard count of the sharded engine (Engine ==
-	// index.KindSharded); 0 means GOMAXPROCS.
-	Shards int
 	// MaxBatch caps how many queued events a broker actor coalesces into
 	// one matching pass (default 64; 1 disables coalescing). Larger
-	// batches amortize per-event actor overhead and give the sharded
-	// engine more parallel work per pass, at the cost of burstier
+	// batches amortize per-event actor overhead, at the cost of burstier
 	// downstream delivery.
 	MaxBatch int
 	// InboxSize buffers node inboxes (default 256).
@@ -248,11 +241,7 @@ func (s *System) buildActors() {
 				ID: id, Stage: stage, Parent: parent, Children: children,
 				TTL: s.cfg.TTL, Conf: s.conf, Weakener: s.weakener,
 				Counters: s.collector.Counters(string(id), stage),
-				Engine: index.Config{
-					Kind:   s.cfg.Engine,
-					Conf:   s.conf,
-					Shards: s.cfg.Shards,
-				},
+				Engine:   index.Config{Conf: s.conf},
 			})
 			seq++
 			counters := s.collector.Counters(string(id), stage)

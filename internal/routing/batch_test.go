@@ -14,11 +14,7 @@ import (
 // TestTableMatchBatchEquivalence: the batch path must return exactly what
 // per-event Match returns, for every engine kind.
 func TestTableMatchBatchEquivalence(t *testing.T) {
-	for _, cfg := range []index.Config{
-		{Kind: index.KindNaive},
-		{Kind: index.KindCounting},
-		{Kind: index.KindSharded, Shards: 4},
-	} {
+	for _, cfg := range []index.Config{{Kind: index.KindIndexed}, {Kind: index.KindNaive}} {
 		t.Run(cfg.Kind.String(), func(t *testing.T) {
 			tab := NewTable(cfg)
 			exp := time.Now().Add(time.Hour)
@@ -48,8 +44,7 @@ func TestTableMatchBatchEquivalence(t *testing.T) {
 // of the batch path (identical to per-event HandleEvent) plus the
 // batch-efficiency counters.
 func TestHandleEventBatchCounters(t *testing.T) {
-	n := NewNode(Config{ID: "b", Stage: 1, Parent: "root",
-		Engine: index.Config{Kind: index.KindCounting}})
+	n := NewNode(Config{ID: "b", Stage: 1, Parent: "root"})
 	// Insert the exact filter directly (bypassing the per-stage weakener,
 	// which would store a class-only filter without an advertisement).
 	n.Table().Insert(filter.MustParseFilter(`class = "Tick" && lane = 1`),

@@ -13,10 +13,8 @@
 // concurrent use — every runtime serializes all access to a node's core
 // behind exactly one goroutine (the overlay actor, the broker core
 // loop, or the single-threaded simulator). The matching engine inside a
-// Table is owned by that table; when the sharded engine is selected it
-// parallelizes internally across its own worker goroutines, but the
-// Table-facing API remains single-caller. HandleEventBatch matches a
-// run of events in one table pass with per-event counter semantics
-// identical to HandleEvent — batching changes throughput, never
-// observable routing results or per-destination order.
+// Table is owned by that table. HandleEventBatch matches a run of events
+// in one table pass with per-event counter semantics identical to
+// HandleEvent — batching changes throughput, never observable routing
+// results or per-destination order.
 package routing

@@ -36,8 +36,8 @@ type Config struct {
 	// counters.
 	Counters *metrics.Counters
 	// Engine selects and parameterizes the matching engine. The zero
-	// value explicitly names the naive Figure 6 table; Engine.Conf
-	// defaults to this node's Conf when left nil.
+	// value names the indexed table; Engine.Conf defaults to this node's
+	// Conf when left nil.
 	Engine index.Config
 }
 
@@ -325,8 +325,8 @@ func (n *Node) HandleEvent(e event.View) []NodeID {
 // event to. Per-event counter semantics match HandleEvent exactly; in
 // addition the pass is recorded in the batch-efficiency counters
 // (BatchesMatched, BatchSizeSum). Runtimes that coalesce queued publishes
-// call this instead of per-event HandleEvent so the matching engine can
-// amortize — and, with the sharded engine, parallelize — the batch.
+// call this instead of per-event HandleEvent to amortize per-event
+// overhead across the batch.
 func (n *Node) HandleEventBatch(events []event.View) [][]NodeID {
 	if len(events) == 0 {
 		return nil

@@ -24,10 +24,9 @@ type Table struct {
 }
 
 // NewTable creates a table backed by the matching engine cfg selects.
-// The engine choice is explicit: the zero Config names the naive Figure 6
-// table with exact type matching, and overlay, broker and simulator all
-// state their choice through the same index.Config — there is no nil
-// fallback path.
+// The zero Config names the indexed table with exact type matching;
+// overlay, broker and simulator all build their tables through the same
+// index.Config.
 func NewTable(cfg index.Config) *Table {
 	return &Table{
 		engine:  index.New(cfg),
@@ -36,22 +35,9 @@ func NewTable(cfg index.Config) *Table {
 	}
 }
 
-// ShardLoads reports per-shard live-subscription counts when the table
-// is backed by the sharded parallel engine, nil otherwise. Unlike the
-// rest of Table, it is safe to call concurrently with core access: it
-// reads only the engine (immutable after construction), and the sharded
-// engine locks per shard.
-func (t *Table) ShardLoads() []int {
-	if se, ok := t.engine.(*index.ShardedEngine); ok {
-		return se.ShardLoads()
-	}
-	return nil
-}
-
 // EngineShape reports how the stored population maps onto the matching
-// engine's structures (see index.Shape). Unlike ShardLoads it reads
-// engine state and, for an unsharded engine, must run where the table's
-// other calls do.
+// engine's structures (see index.Shape). Like the table's other calls it
+// must run on the goroutine that owns the table.
 func (t *Table) EngineShape() index.Shape { return index.ShapeOf(t.engine) }
 
 // Insert associates id with f under a lease expiring at expiry. Inserting
@@ -135,11 +121,9 @@ func idsAsNodeIDs(ids []string) []NodeID {
 	return *(*[]NodeID)(unsafe.Pointer(&ids))
 }
 
-// MatchBatch matches a batch of events in one engine pass, using the
-// engine's native batch path when it has one (the sharded engine matches
-// the whole batch across shards in parallel). Results align positionally
-// with events; each ID list is sorted and deduplicated, so per-event
-// output is identical to calling Match event by event.
+// MatchBatch matches a batch of events in one engine pass. Results align
+// positionally with events; each ID list is sorted and deduplicated, so
+// per-event output is identical to calling Match event by event.
 func (t *Table) MatchBatch(events []event.View) (ids [][]NodeID, matched []int) {
 	rs := index.MatchEach(t.engine, events)
 	ids = make([][]NodeID, len(rs))

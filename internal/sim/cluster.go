@@ -8,7 +8,6 @@ import (
 	"eventsys/internal/event"
 	"eventsys/internal/filter"
 	"eventsys/internal/flow"
-	"eventsys/internal/index"
 	"eventsys/internal/metrics"
 	"eventsys/internal/partition"
 	"eventsys/internal/peering"
@@ -190,8 +189,6 @@ type ClusterConfig struct {
 	// the simulator's mirror of partition-aware publisher fan-in. 0 keeps
 	// the PublishAt/Home placement.
 	Partitions int
-	// Engine selects the local matching engine at brokers.
-	Engine index.Kind
 	// MaxStage clamps hop-distance weakening of federation interests
 	// (0 = full filters propagate everywhere).
 	MaxStage int
@@ -556,7 +553,6 @@ func (s *clusterSim) initBrokerState(b *simBroker) {
 		Stage:    1,
 		Weakener: weaken.New(s.ads, nil),
 		Counters: b.counters,
-		Engine:   index.Config{Kind: s.cfg.Engine},
 	})
 	b.fed = peering.New(peering.Config{
 		Ads:      s.ads,

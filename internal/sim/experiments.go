@@ -52,8 +52,6 @@ func Experiments() []string {
 // every experiment's defaults. Consumed by the engines (A5) and flow
 // (A6) experiments.
 type Options struct {
-	// Shards is the sharded engine's shard count (0 = GOMAXPROCS).
-	Shards int
 	// MaxBatch is the matching batch size (0 = 64).
 	MaxBatch int
 	// Subscribers overrides the A5 population size (0 = 5000).
@@ -306,14 +304,13 @@ func PrefilterAblation(seed uint64) (string, error) {
 	return b.String(), nil
 }
 
-// EnginesExperiment (A5) contrasts the four matching engines on one
-// subscription population: the naive Figure 6 table, the counting index,
-// the sharded parallel engine, and the predicate-indexed engine,
-// matching the same event stream in batches. Unlike the other
-// experiments this one reports wall-clock numbers — batch throughput
-// plus per-event match-latency percentiles from an individually timed
-// pass — reproducible with `go test -bench 'BenchmarkShardedMatch|
-// BenchmarkIndexedMatch' ./internal/index`.
+// EnginesExperiment (A5) contrasts the two matching engines on one
+// subscription population: the naive Figure 6 table and the
+// predicate-indexed engine every runtime builds, matching the same event
+// stream in batches. Unlike the other experiments this one reports
+// wall-clock numbers — batch throughput plus per-event match-latency
+// percentiles from an individually timed pass — reproducible with
+// `go test -bench BenchmarkIndexedMatch ./internal/index`.
 func EnginesExperiment(seed uint64, o Options) (string, error) {
 	subs := o.Subscribers
 	if subs <= 0 {
@@ -336,26 +333,17 @@ func EnginesExperiment(seed uint64, o Options) (string, error) {
 	for i := range stream {
 		stream[i] = bib.Event()
 	}
-	engines := []index.Config{
-		{Kind: index.KindNaive},
-		{Kind: index.KindCounting},
-		{Kind: index.KindSharded, Shards: o.Shards},
-		{Kind: index.KindIndexed},
-	}
+	engines := []index.Kind{index.KindNaive, index.KindIndexed}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Experiment A5 — matching engines (seed=%d, subs=%d, events=%d, batch=%d, GOMAXPROCS=%d)\n\n",
 		seed, subs, events, maxBatch, runtime.GOMAXPROCS(0))
-	fmt.Fprintf(&b, "%-10s %8s %14s %12s %10s %12s %12s\n",
-		"Engine", "Shards", "Events/sec", "Forwarded", "Speedup", "p50-match", "p99-match")
+	fmt.Fprintf(&b, "%-10s %14s %12s %10s %12s %12s\n",
+		"Engine", "Events/sec", "Forwarded", "Speedup", "p50-match", "p99-match")
 	var base float64
-	for _, ecfg := range engines {
-		eng := index.New(ecfg)
+	for _, kind := range engines {
+		eng := index.New(index.Config{Kind: kind})
 		for i, f := range population {
 			eng.Insert(f, fmt.Sprintf("s%d", i))
-		}
-		shards := 1
-		if se, ok := eng.(*index.ShardedEngine); ok {
-			shards = se.Shards()
 		}
 		var forwarded uint64
 		start := time.Now()
@@ -378,14 +366,14 @@ func EnginesExperiment(seed uint64, o Options) (string, error) {
 			lat[i] = time.Since(t0)
 		}
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		if ecfg.Kind == index.KindNaive {
+		if kind == index.KindNaive {
 			base = rate
 		}
-		fmt.Fprintf(&b, "%-10s %8d %14.0f %12d %9.2fx %12s %12s\n",
-			ecfg.Kind, shards, rate, forwarded, rate/base,
+		fmt.Fprintf(&b, "%-10s %14.0f %12d %9.2fx %12s %12s\n",
+			kind, rate, forwarded, rate/base,
 			lat[len(lat)*50/100], lat[len(lat)*99/100])
 	}
-	b.WriteString("\nAll engines forward identical copies; sharded scales with cores,\nindexed keeps per-event latency flat as the population grows.\n")
+	b.WriteString("\nBoth engines forward identical copies; indexed keeps per-event\nlatency flat as the population grows.\n")
 	return b.String(), nil
 }
 
@@ -488,7 +476,7 @@ func RawPathExperiment(seed uint64, o Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	table := index.NewCountingTable(nil)
+	table := index.NewIndexedTable(nil)
 	for i := 0; i < subs; i++ {
 		table.Insert(bib.Subscription(0.1, true), fmt.Sprintf("s%d", i))
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"eventsys/internal/flow"
-	"eventsys/internal/index"
 	"eventsys/internal/workload"
 )
 
@@ -38,7 +37,6 @@ func Scenarios() []Scenario {
 					Topology:  Tree(7, 2),
 					Workload:  workload.DefaultCluster(10_000),
 					Policy:    flow.Block,
-					Engine:    index.KindCounting,
 					PublishAt: -1, SubscribeAt: -1,
 				}
 			},
@@ -253,7 +251,7 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name:  "million-clients",
-			About: "6-broker star, million-client identity space, sharded matching engine",
+			About: "6-broker star, million-client identity space",
 			Config: func(seed uint64) ClusterConfig {
 				w := workload.DefaultCluster(1_000_000)
 				w.Subs, w.Publishes = 400, 3_000
@@ -262,7 +260,6 @@ func Scenarios() []Scenario {
 					Topology:  Star(6),
 					Workload:  w,
 					Policy:    flow.Block,
-					Engine:    index.KindSharded,
 					PublishAt: -1, SubscribeAt: -1,
 				}
 			},

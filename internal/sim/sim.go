@@ -26,7 +26,6 @@ import (
 	"eventsys/internal/baseline"
 	"eventsys/internal/event"
 	"eventsys/internal/filter"
-	"eventsys/internal/index"
 	"eventsys/internal/metrics"
 	"eventsys/internal/routing"
 	"eventsys/internal/typing"
@@ -60,11 +59,6 @@ type Config struct {
 	// default reproduces Section 5.2: stage-1 drops title, stage-2 drops
 	// author, stage-3 keeps year only.
 	StageAttrs []int
-	// Engine selects the matching engine at brokers (identical results
-	// for every kind); the zero value is the naive Figure 6 table.
-	Engine index.Kind
-	// Shards is the shard count of the sharded engine; 0 = GOMAXPROCS.
-	Shards int
 	// RandomPlacement disables the covering-search clustering of the
 	// Figure 5 protocol: subscribers descend randomly to a stage-1 node.
 	// Used by the placement ablation (A1).
@@ -235,15 +229,10 @@ func (s *simulator) buildHierarchy() {
 					}
 				}
 			}
-			ecfg := index.Config{
-				Kind:   s.cfg.Engine,
-				Shards: s.cfg.Shards,
-			}
 			n := routing.NewNode(routing.Config{
 				ID: id, Stage: stage, Parent: parent, Children: children,
 				Weakener: s.weakener,
 				Counters: s.collector.Counters(string(id), stage),
-				Engine:   ecfg,
 			})
 			s.nodes[id] = n
 			if parent == "" && stage == stages {

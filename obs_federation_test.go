@@ -137,10 +137,15 @@ func TestObservabilityFederationScrape(t *testing.T) {
 		}
 	}
 
-	// zurich stores bob's filter; on the default (naive) engine it is
-	// reported off every indexed path.
-	if n := scrapeSeries(t, firstB, "eventsys_engine_filters", `path="unindexed"`); n < 1 {
-		t.Errorf("zurich reports %v unindexed filters, want bob's", n)
+	// zurich stores bob's filter on an indexed path of the default
+	// (indexed) engine; nothing is held unindexed.
+	paired := scrapeSeries(t, firstB, "eventsys_engine_filters", `path="paired"`)
+	general := scrapeSeries(t, firstB, "eventsys_engine_filters", `path="general"`)
+	if paired+general < 1 {
+		t.Errorf("zurich reports %v paired and %v general filters, want bob's on one of them", paired, general)
+	}
+	if n := scrapeSeries(t, firstB, "eventsys_engine_filters", `path="unindexed"`); n != 0 {
+		t.Errorf("zurich reports %v unindexed filters, want 0", n)
 	}
 
 	publish(100)

@@ -83,15 +83,16 @@ echo "forward-path traced-vs-untraced (benchtime=$BENCHTIME) -> $fp" >&2
     go test -run '^$' -bench 'BenchmarkForwardPath' -benchmem -benchtime "$BENCHTIME" .
 } > "$fp"
 
-# Matching-engine scaling curve: the predicate-indexed engine against
-# the counting baseline across population sizes, with p50/p99 per-event
-# latency extras. This is the headline number for broker matching; the
-# raw curve lands in INDEXED_MATCH.txt next to the BENCH_<n> sets.
+# Matching-engine scaling curve: the predicate-indexed engine across
+# population sizes, against the naive table at the smallest, with
+# p50/p99 per-event latency extras. This is the headline number for
+# broker matching; the raw curve lands in INDEXED_MATCH.txt next to the
+# BENCH_<n> sets.
 im="$OUT/INDEXED_MATCH.txt"
 echo "indexed-match scaling curve (benchtime=$BENCHTIME) -> $im" >&2
 {
     echo "# Match cost per event (ns/op, plus p50-ns/p99-ns sampled per event)"
-    echo "# counting = per-attribute counting index; indexed = predicate-indexed"
+    echo "# naive = Figure 6 table (every filter per event); indexed = predicate-indexed"
     echo "# engine (sorted threshold cores, per-length prefix/suffix postings,"
     echo "# paired access-threshold groups); indexed-std = the same population"
     echo "# in the Section 4.4 standard form (wildcards verified at hit time),"
